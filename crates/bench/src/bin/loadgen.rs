@@ -142,6 +142,7 @@ fn payload(seed: u64, requests: usize, hot_only: bool) -> String {
 fn connect_and_replay(addr: &str, text: &str) -> std::io::Result<()> {
     use std::io::Write;
     let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     stream.write_all(text.as_bytes())?;
     stream.flush()?;
     stream.shutdown(std::net::Shutdown::Write)?;

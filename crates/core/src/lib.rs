@@ -16,9 +16,8 @@
 //! * [`baselines`] — the prior art the paper argues against: the
 //!   Ismail–Friedman curve-fitted optimum [21, 22] and (re-exported from
 //!   the `rlckit-tline` crate) the Kahng–Muddu approximate delays \[23\].
-//! * [`batch`] — the batched structure-of-arrays optimizer core:
-//!   lockstep lanes over shared delay-solve batches, bit-identical to
-//!   the scalar path.
+//! * [`batch`] — many independent optima in one call, each on the
+//!   scalar per-point path.
 //! * [`sweeps`] — the inductance sweeps behind Figs. 4–8.
 //! * [`planner`] — integer-repeater route planning on top of the
 //!   continuous optimum, with the delay/cost trade-off.

@@ -203,21 +203,16 @@ pub fn segment_delay(
 }
 
 /// Moments and their analytic sensitivities at `(h, k)`.
-pub(crate) struct MomentDerivatives {
-    pub(crate) b1: f64,
-    pub(crate) b2: f64,
+struct MomentDerivatives {
+    b1: f64,
+    b2: f64,
     db1_dh: f64,
     db1_dk: f64,
     db2_dh: f64,
     db2_dk: f64,
 }
 
-pub(crate) fn moment_derivatives(
-    line: &LineRlc,
-    driver: &DriverParams,
-    h: f64,
-    k: f64,
-) -> MomentDerivatives {
+fn moment_derivatives(line: &LineRlc, driver: &DriverParams, h: f64, k: f64) -> MomentDerivatives {
     let r = line.resistance().get();
     let l = line.inductance().get();
     let c = line.capacitance().get();
@@ -262,7 +257,7 @@ pub(crate) fn moment_derivatives(
 }
 
 /// Pole pair and their sensitivities (complex when underdamped).
-pub(crate) struct PoleDerivatives {
+struct PoleDerivatives {
     s1: Complex,
     s2: Complex,
     ds1_dh: Complex,
@@ -271,7 +266,7 @@ pub(crate) struct PoleDerivatives {
     ds2_dk: Complex,
 }
 
-pub(crate) fn pole_derivatives(m: &MomentDerivatives) -> PoleDerivatives {
+fn pole_derivatives(m: &MomentDerivatives) -> PoleDerivatives {
     let disc = m.b1 * m.b1 - 4.0 * m.b2;
     // Nudge exact criticality so 1/w stays finite; the FD outer Jacobian
     // absorbs the resulting O(ε) noise.
@@ -323,20 +318,7 @@ fn residuals(
     // point can reach non-positive moments, which must fail the point
     // (non-retryable InvalidInput), never panic the campaign process.
     let tau = TwoPole::try_new(m.b1, m.b2)?.delay(threshold)?.get();
-    Ok(assemble_residuals(&p, tau, h, k, threshold))
-}
 
-/// The pure arithmetic tail of [`residuals`]: Eqs. (7)–(8) given the
-/// already-solved delay `tau`. Shared with the batched engine in
-/// [`crate::batch`], which amortizes the delay solves across lanes and
-/// must reproduce the scalar residual bits exactly.
-pub(crate) fn assemble_residuals(
-    p: &PoleDerivatives,
-    tau: f64,
-    h: f64,
-    k: f64,
-    threshold: f64,
-) -> [f64; 2] {
     let one_minus_f = 1.0 - threshold;
     let e1 = (p.s1 * tau).exp();
     let e2 = (p.s2 * tau).exp();
@@ -359,7 +341,7 @@ pub(crate) fn assemble_residuals(
 
     let out1 = (g1 / diff).re / (f_tau_mag * tau / h);
     let out2 = (g2 / diff).re / (f_tau_mag * tau / k);
-    [out1, out2]
+    Ok([out1, out2])
 }
 
 /// Exact-bit-keyed memo of successful residual evaluations for one
@@ -655,7 +637,7 @@ pub fn optimize_rlc_direct(
     finish(line, driver, h, k, options.threshold, minimum.evaluations, true)
 }
 
-pub(crate) fn finish(
+fn finish(
     line: &LineRlc,
     driver: &DriverParams,
     h: f64,

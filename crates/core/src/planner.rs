@@ -25,38 +25,19 @@
 
 use std::cell::RefCell;
 
-use rlckit_fault::{fresh_scope, should_inject, swap_scope, ScopeState};
 use rlckit_numeric::{NumericError, Result};
 use rlckit_par::{par_map_guided, Parallelism};
 use rlckit_tech::DriverParams;
-use rlckit_trace::{counter, histogram, span, SpanGuard};
-use rlckit_tline::batch::{DelayBatch, DelayConfig};
+use rlckit_trace::{counter, span};
 use rlckit_tline::LineRlc;
 use rlckit_units::{Farads, Meters, Seconds};
 
-use crate::batch::{bulk, HistAcc};
-use crate::optimizer::{
-    optimize_rlc_with_retry, segment_delay, segment_structure, OptimizerOptions, RetryPolicy,
-};
+use crate::optimizer::{optimize_rlc_with_retry, segment_delay, OptimizerOptions, RetryPolicy};
 use crate::outcome::{run_point, PointOutcome, Solved};
 
 /// Salt mixed into planner fault-scope keys so a planner point and a
 /// sweep point with the same index draw independent fault decisions.
 const PLANNER_SCOPE_SALT: u64 = 0x504C_0000_0000_0000;
-
-/// Lanes per batched trade-off column (same rationale as the sweep
-/// column width: enough independent delay solves per wave to fill the
-/// CPU's out-of-order window). A column is also the work item the
-/// campaign engine schedules, so `N` counts parallelize as
-/// `ceil(N / COLUMN_WIDTH)` tasks.
-pub const COLUMN_WIDTH: usize = 8;
-
-// The golden-section schedule of `optimal_size_for_length`, replicated
-// by the lockstep column engine so its bracket walk makes the identical
-// shrink decisions (`rlckit_numeric::minimize::golden_section`).
-const INV_PHI: f64 = 0.618_033_988_749_894_9;
-const GOLDEN_X_TOL: f64 = 1e-10;
-const GOLDEN_MAX_EVALUATIONS: usize = 400;
 
 /// An implementable repeater plan for a route of fixed length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -337,27 +318,23 @@ pub fn segment_count_tradeoff_outcomes(
     })
     .into_result()?;
     let continuous_bound = Seconds::new(continuous.delay_per_length() * route_length.get());
-    let counts: Vec<(usize, usize)> = range.into_iter().filter(|&n| n > 0).enumerate().collect();
-    // Guided self-scheduling over batched columns: per-count cost varies
-    // ~3× across the range (small counts mean long segments and slow
-    // delay solves), so static chunking leaves workers idle at the tail.
-    // Within a column the golden-section walks advance in lockstep, one
-    // shared delay batch per probe wave. Results are reassembled in
-    // input order, so the outcome vector is bit-identical to serial,
-    // unbatched execution.
-    let columns: Vec<&[(usize, usize)]> = counts.chunks(COLUMN_WIDTH).collect();
-    let nested = par_map_guided(&columns, parallelism, |_, column| {
-        Ok(tradeoff_column_outcomes(
-            line,
-            driver,
-            route_length,
-            threshold,
-            continuous_bound,
-            column,
-            policy,
-        ))
-    })?;
-    Ok(nested.into_iter().flatten().collect())
+    let counts: Vec<usize> = range.into_iter().filter(|&n| n > 0).collect();
+    // Guided self-scheduling: per-count cost varies ~3× across the range
+    // (small counts mean long segments and slow delay solves), so static
+    // chunking leaves workers idle at the tail. Results are reassembled
+    // in input order, so the outcome vector is bit-identical to serial
+    // execution.
+    par_map_guided(&counts, parallelism, |i, &n| {
+        let _span = span!("planner.point");
+        counter!("planner.points").incr();
+        let outcome = run_point(PLANNER_SCOPE_SALT | i as u64, policy, || {
+            plan_for_count(line, driver, route_length, threshold, continuous_bound, n)
+        });
+        if outcome.is_failed() {
+            counter!("planner.no_convergence").incr();
+        }
+        Ok(outcome)
+    })
 }
 
 /// Assembles the [`RoutePlan`] of a solved count (shared by every
@@ -383,9 +360,9 @@ fn assemble_plan(
     }
 }
 
-/// The scalar solve of one forced segment count: exactly the attempt
-/// body the trade-off engine ran per point before batching, kept as the
-/// redo path for retired lanes and as the reference semantics.
+/// The solve of one forced segment count: re-optimize the repeater size
+/// for the forced segment length, then re-evaluate the delay there (a
+/// guaranteed probe-cache hit).
 fn plan_for_count(
     line: &LineRlc,
     driver: &DriverParams,
@@ -406,336 +383,6 @@ fn plan_for_count(
         tau,
         continuous_bound,
     )))
-}
-
-/// Which golden-section evaluation a planner lane is waiting on.
-enum PlanPhase {
-    /// The initial `f(c)` probe.
-    AwaitC,
-    /// The initial `f(d)` probe.
-    AwaitD,
-    /// One loop-iteration probe; `true` refreshes `c`, `false` `d`.
-    AwaitLoop(bool),
-    /// The midpoint evaluation `f(x)` that ends the walk.
-    AwaitFinal,
-}
-
-/// This wave's probe result for a lane.
-#[derive(Clone, Copy)]
-enum ProbeOut {
-    /// Not yet resolved (only between waves).
-    Pending,
-    /// A clean delay, seconds.
-    Delay(f64),
-    /// The delay solve failed — the scalar objective's `∞` arm, which
-    /// is off the clean path.
-    Failed,
-}
-
-/// Per-lane golden-section state: the local variables of the scalar
-/// `optimal_size_for_length_cached`, parked between waves.
-struct PlanLane {
-    /// Position in the column (and in its outcome vector).
-    slot: usize,
-    /// The forced segment count.
-    n: usize,
-    scope: ScopeState,
-    _reopt_span: SpanGuard,
-    /// Segment length `route/n`, metres.
-    h: f64,
-    /// The per-point probe memo, `(h, k)` bit keys to delay seconds.
-    cache: Vec<((u64, u64), f64)>,
-    a: f64,
-    b: f64,
-    c: f64,
-    d: f64,
-    fc: f64,
-    fd: f64,
-    evaluations: usize,
-    /// `ln k` of the probe requested this wave.
-    pending_ln: f64,
-    out: ProbeOut,
-    phase: PlanPhase,
-}
-
-/// What a planner lane does after consuming its wave's probe.
-enum PlanNext {
-    Continue,
-    Done(PointOutcome<RoutePlan>),
-    /// Lane left the clean path: redo the count via the scalar path.
-    Retire,
-}
-
-/// Local telemetry tallies for a planner column, flushed in bulk.
-#[derive(Default)]
-struct PlanAcc {
-    cache_hits: u64,
-    cache_misses: u64,
-    golden_calls: u64,
-    golden_evaluations: HistAcc,
-}
-
-impl PlanAcc {
-    fn flush(&self) {
-        bulk(counter!("planner.cache.hits"), self.cache_hits);
-        bulk(counter!("planner.cache.misses"), self.cache_misses);
-        bulk(counter!("minimize.golden_section.calls"), self.golden_calls);
-        self.golden_evaluations
-            .flush(histogram!("minimize.golden_section.evaluations"));
-    }
-}
-
-/// Solves one column of forced segment counts with the golden-section
-/// walks advancing in lockstep: every wave gathers one `segment_delay`
-/// probe per live lane into a shared [`DelayBatch`], so the
-/// transcendental-heavy delay iterations run as dense lane sweeps.
-///
-/// Bit-identical to running [`plan_for_count`] under
-/// [`run_point`] on each count in sequence: per-lane arithmetic
-/// replicates the scalar walk exactly, probe prologues run under the
-/// lane's fault scope in lane order, and any lane that leaves the clean
-/// path (an injected fault fires, a probe fails) is retired to the
-/// genuine scalar path under the same scope key.
-fn tradeoff_column_outcomes(
-    line: &LineRlc,
-    driver: &DriverParams,
-    route_length: Meters,
-    threshold: f64,
-    continuous_bound: Seconds,
-    column: &[(usize, usize)],
-    policy: &RetryPolicy,
-) -> Vec<PointOutcome<RoutePlan>> {
-    // One span and one point tally per lane, as the scalar loop takes.
-    let _spans: Vec<_> = column.iter().map(|_| span!("planner.point")).collect();
-    counter!("planner.points").add(column.len() as u64);
-    let redo = |index: usize, n: usize| {
-        run_point(PLANNER_SCOPE_SALT | index as u64, policy, || {
-            plan_for_count(line, driver, route_length, threshold, continuous_bound, n)
-        })
-    };
-
-    // Same `RLCKIT_BATCH=off` escape hatch as the optimizer engine.
-    if crate::batch::scalar_override() {
-        return column.iter().map(|&(index, n)| redo(index, n)).collect();
-    }
-
-    let mut acc = PlanAcc::default();
-    let mut done: Vec<Option<PointOutcome<RoutePlan>>> = Vec::with_capacity(column.len());
-    done.resize_with(column.len(), || None);
-    let mut live: Vec<PlanLane> = Vec::with_capacity(column.len());
-    for (slot, &(index, n)) in column.iter().enumerate() {
-        match init_plan_lane(slot, index, n, route_length) {
-            Some(lane) => live.push(lane),
-            // The entry faultpoint fired: the scalar walk would abort
-            // into the retry ladder before its first probe.
-            None => done[slot] = Some(redo(index, n)),
-        }
-    }
-
-    // One reusable batch and miss list for the whole column (a golden
-    // walk takes ~50 waves; fresh per-wave allocations would dominate).
-    let mut batch = DelayBatch::with_capacity(live.len());
-    let mut misses: Vec<(usize, (u64, u64))> = Vec::new();
-    while !live.is_empty() {
-        // Wave part 1: resolve each lane's probe against its memo (the
-        // scalar cache scan) under the lane's scope, deferring misses
-        // to the shared delay batch.
-        for (pos, lane) in live.iter_mut().enumerate() {
-            lane.out = ProbeOut::Pending;
-            let prev = swap_scope(lane.scope);
-            let k = lane.pending_ln.exp();
-            let key = (lane.h.to_bits(), k.to_bits());
-            if let Some(&(_, tau)) = lane.cache.iter().find(|(k2, _)| *k2 == key) {
-                acc.cache_hits += 1;
-                lane.out = ProbeOut::Delay(tau);
-            } else {
-                acc.cache_misses += 1;
-                let dil = segment_structure(line, driver, Meters::new(lane.h), k);
-                batch.push(DelayConfig {
-                    b1: dil.b1(),
-                    b2: dil.b2(),
-                    threshold,
-                });
-                misses.push((pos, key));
-            }
-            lane.scope = swap_scope(prev);
-        }
-
-        // Wave part 2: all deferred delay solves advance in lockstep.
-        let delays = batch.solve_in_place();
-        for ((pos, key), delay) in misses.drain(..).zip(delays) {
-            let lane = &mut live[pos];
-            lane.out = match delay {
-                Ok(out) => {
-                    // Only Ok delays enter the memo, as in the scalar
-                    // `segment_delay_cached`.
-                    lane.cache.push((key, out.delay.get()));
-                    ProbeOut::Delay(out.delay.get())
-                }
-                Err(_) => ProbeOut::Failed,
-            };
-        }
-
-        // Wave part 3: every lane consumes its probe and advances its
-        // walk, completes, or retires. A poisoned scope means an
-        // injected fault fired during this lane's probe — the scalar
-        // walk would abort at its final `injected_abort`.
-        let mut pos = 0;
-        while pos < live.len() {
-            let lane = &mut live[pos];
-            let prev = swap_scope(lane.scope);
-            let next = if rlckit_fault::poisoned() {
-                PlanNext::Retire
-            } else {
-                plan_advance(lane, driver, continuous_bound, &mut acc)
-            };
-            lane.scope = swap_scope(prev);
-            match next {
-                PlanNext::Continue => pos += 1,
-                PlanNext::Done(outcome) => {
-                    let lane = live.swap_remove(pos);
-                    done[lane.slot] = Some(outcome);
-                }
-                PlanNext::Retire => {
-                    let lane = live.swap_remove(pos);
-                    let (index, n) = column[lane.slot];
-                    done[lane.slot] = Some(redo(index, n));
-                }
-            }
-        }
-    }
-    acc.flush();
-    let outcomes: Vec<PointOutcome<RoutePlan>> = done
-        .into_iter()
-        .map(|o| o.expect("every planner lane completes or retires"))
-        .collect();
-    for outcome in &outcomes {
-        if outcome.is_failed() {
-            counter!("planner.no_convergence").incr();
-        }
-    }
-    outcomes
-}
-
-/// Sets up one planner lane: the scalar path's spans and counters, the
-/// golden-section entry faultpoint under the lane's fresh scope, and
-/// the initial bracket. Returns `None` if the entry faultpoint fired.
-fn init_plan_lane(slot: usize, index: usize, n: usize, route_length: Meters) -> Option<PlanLane> {
-    let reopt_span = span!("planner.size_reopt");
-    counter!("planner.size_reopts").incr();
-    let mut scope = fresh_scope(PLANNER_SCOPE_SALT | index as u64);
-    let prev = swap_scope(scope);
-    let fired = should_inject("minimize.golden_section");
-    scope = swap_scope(prev);
-    if fired {
-        counter!("minimize.golden_section.injected_faults").incr();
-        return None;
-    }
-    let a = (1.0f64).ln();
-    let b = (20_000.0f64).ln();
-    let c = b - INV_PHI * (b - a);
-    let d = a + INV_PHI * (b - a);
-    Some(PlanLane {
-        slot,
-        n,
-        scope,
-        _reopt_span: reopt_span,
-        h: route_length.get() / n as f64,
-        cache: Vec::new(),
-        a,
-        b,
-        c,
-        d,
-        fc: 0.0,
-        fd: 0.0,
-        evaluations: 0,
-        pending_ln: c,
-        out: ProbeOut::Pending,
-        phase: PlanPhase::AwaitC,
-    })
-}
-
-/// Consumes a lane's probe and advances its golden-section walk; runs
-/// with the lane's fault scope installed.
-fn plan_advance(
-    lane: &mut PlanLane,
-    driver: &DriverParams,
-    continuous_bound: Seconds,
-    acc: &mut PlanAcc,
-) -> PlanNext {
-    // A failed probe is the scalar objective's ∞ arm: the walk it would
-    // steer is off the clean path, so hand the count to the redo.
-    let ProbeOut::Delay(value) = lane.out else {
-        return PlanNext::Retire;
-    };
-    match lane.phase {
-        PlanPhase::AwaitC => {
-            lane.fc = value;
-            lane.pending_ln = lane.d;
-            lane.phase = PlanPhase::AwaitD;
-            PlanNext::Continue
-        }
-        PlanPhase::AwaitD => {
-            lane.fd = value;
-            lane.evaluations = 2;
-            golden_step(lane)
-        }
-        PlanPhase::AwaitLoop(updating_c) => {
-            if updating_c {
-                lane.fc = value;
-            } else {
-                lane.fd = value;
-            }
-            lane.evaluations += 1;
-            golden_step(lane)
-        }
-        PlanPhase::AwaitFinal => {
-            // golden_section's exit bookkeeping, then the caller's
-            // post-solve delay probe — a guaranteed memo hit on the
-            // midpoint evaluation the walk just cached.
-            acc.golden_calls += 1;
-            acc.golden_evaluations.observe((lane.evaluations + 1) as u64);
-            let k = lane.pending_ln.exp();
-            acc.cache_hits += 1;
-            PlanNext::Done(PointOutcome::Converged(assemble_plan(
-                driver,
-                lane.n,
-                Meters::new(lane.h),
-                k,
-                Seconds::new(value),
-                continuous_bound,
-            )))
-        }
-    }
-}
-
-/// The top of the scalar golden-section loop: either shrink the bracket
-/// and request the one new probe, or fall through to the final midpoint
-/// evaluation.
-fn golden_step(lane: &mut PlanLane) -> PlanNext {
-    if (lane.b - lane.a).abs() > GOLDEN_X_TOL * (lane.a.abs() + lane.b.abs()).max(1.0)
-        && lane.evaluations < GOLDEN_MAX_EVALUATIONS
-    {
-        if lane.fc < lane.fd {
-            lane.b = lane.d;
-            lane.d = lane.c;
-            lane.fd = lane.fc;
-            lane.c = lane.b - INV_PHI * (lane.b - lane.a);
-            lane.pending_ln = lane.c;
-            lane.phase = PlanPhase::AwaitLoop(true);
-        } else {
-            lane.a = lane.c;
-            lane.c = lane.d;
-            lane.fc = lane.fd;
-            lane.d = lane.a + INV_PHI * (lane.b - lane.a);
-            lane.pending_ln = lane.d;
-            lane.phase = PlanPhase::AwaitLoop(false);
-        }
-    } else {
-        lane.pending_ln = 0.5 * (lane.a + lane.b);
-        lane.phase = PlanPhase::AwaitFinal;
-    }
-    PlanNext::Continue
 }
 
 #[cfg(test)]
@@ -867,125 +514,6 @@ mod tests {
             delta.counter("planner.cache.misses"),
         );
         assert!(delta.counter("planner.cache.misses") >= 1);
-    }
-
-    /// The lockstep column engine against the genuine scalar per-count
-    /// path (`plan_for_count` under `run_point`, the pre-batching
-    /// semantics): every field of every plan must match to the bit.
-    #[test]
-    fn batched_tradeoff_is_bit_identical_to_the_scalar_path() {
-        let (line, driver) = setup();
-        let route = Meters::from_milli(60.0);
-        let threshold = 0.5;
-        let policy = RetryPolicy::default();
-        let options = OptimizerOptions {
-            threshold,
-            ..OptimizerOptions::default()
-        };
-        let continuous = optimize_rlc(&line, &driver, options).unwrap();
-        let continuous_bound = Seconds::new(continuous.delay_per_length() * route.get());
-
-        let batched = segment_count_tradeoff_outcomes(
-            &line,
-            &driver,
-            route,
-            threshold,
-            1..=12,
-            &policy,
-            Parallelism::Serial,
-        )
-        .unwrap();
-        for (i, (outcome, n)) in batched.iter().zip(1..=12usize).enumerate() {
-            let want = run_point(PLANNER_SCOPE_SALT | i as u64, &policy, || {
-                plan_for_count(&line, &driver, route, threshold, continuous_bound, n)
-            });
-            let (PointOutcome::Converged(w), PointOutcome::Converged(g)) = (&want, outcome) else {
-                panic!("n = {n}: outcome kind drifted");
-            };
-            assert_eq!(w.segments, g.segments, "n = {n}");
-            assert_eq!(
-                w.segment_length.get().to_bits(),
-                g.segment_length.get().to_bits(),
-                "n = {n}: h"
-            );
-            assert_eq!(
-                w.repeater_size.to_bits(),
-                g.repeater_size.to_bits(),
-                "n = {n}: k"
-            );
-            assert_eq!(
-                w.total_delay.get().to_bits(),
-                g.total_delay.get().to_bits(),
-                "n = {n}: delay"
-            );
-            assert_eq!(
-                w.repeater_capacitance.get().to_bits(),
-                g.repeater_capacitance.get().to_bits(),
-                "n = {n}: cap"
-            );
-        }
-    }
-
-    /// Clean-run telemetry totals of the batched trade-off must equal
-    /// the scalar path's: probe-cache traffic, golden-section calls,
-    /// and the delay-solver counters underneath.
-    #[test]
-    fn batched_tradeoff_telemetry_matches_the_scalar_totals() {
-        let (line, driver) = setup();
-        let route = Meters::from_milli(60.0);
-        let threshold = 0.5;
-        let policy = RetryPolicy::default();
-        let options = OptimizerOptions {
-            threshold,
-            ..OptimizerOptions::default()
-        };
-        let continuous = optimize_rlc(&line, &driver, options).unwrap();
-        let continuous_bound = Seconds::new(continuous.delay_per_length() * route.get());
-
-        // The scalar reference replays everything the trade-off engine
-        // runs: the shared continuous solve, then each count.
-        let before_scalar = rlckit_trace::snapshot();
-        let _ = run_point(route.get().to_bits(), &policy, || {
-            optimize_rlc_with_retry(&line, &driver, options, &policy).map(|opt| Solved {
-                restarts: opt.restarts,
-                degraded: opt.used_fallback,
-                value: opt,
-            })
-        });
-        for (i, n) in (1..=10usize).enumerate() {
-            let _ = run_point(PLANNER_SCOPE_SALT | i as u64, &policy, || {
-                plan_for_count(&line, &driver, route, threshold, continuous_bound, n)
-            });
-        }
-        let scalar_delta = rlckit_trace::snapshot().since(&before_scalar);
-
-        let before_batch = rlckit_trace::snapshot();
-        let _ = segment_count_tradeoff_outcomes(
-            &line,
-            &driver,
-            route,
-            threshold,
-            1..=10,
-            &policy,
-            Parallelism::Serial,
-        )
-        .unwrap();
-        let batch_delta = rlckit_trace::snapshot().since(&before_batch);
-
-        for name in [
-            "planner.cache.hits",
-            "planner.cache.misses",
-            "planner.size_reopts",
-            "minimize.golden_section.calls",
-            "twopole.delay.solves",
-            "roots.newton_bracketed.solves",
-        ] {
-            assert_eq!(
-                scalar_delta.counter(name),
-                batch_delta.counter(name),
-                "{name} drifted between scalar and batched trade-off"
-            );
-        }
     }
 
     #[test]

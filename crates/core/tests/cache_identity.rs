@@ -9,14 +9,11 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use rlckit::elmore::rc_optimum;
-use rlckit::optimizer::{optimize_rlc_with_retry, segment_delay, OptimizerOptions, RetryPolicy};
-use rlckit::outcome::{run_point, Solved};
+use rlckit::optimizer::OptimizerOptions;
 use rlckit::report::Table;
 use rlckit::sweeps::{inductance_sweep_with, SweepPoint};
 use rlckit_par::Parallelism;
 use rlckit_tech::TechNode;
-use rlckit_tline::LineRlc;
 use rlckit_units::HenriesPerMeter;
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -67,67 +64,8 @@ fn campaign_csv(points: &[SweepPoint]) -> String {
     table.to_csv()
 }
 
-fn point_bits(p: &SweepPoint) -> [u64; 4] {
-    [
-        p.h_opt.to_bits(),
-        p.k_opt.to_bits(),
-        p.delay_per_length.to_bits(),
-        p.l_crit.to_bits(),
-    ]
-}
-
-/// The scalar sweep, replicated point by point from the public API —
-/// exactly the computation the batched column engine claims to
-/// reproduce bit for bit (and the same code the engine's own `redo`
-/// fallback runs for a retired lane). Each point solves under the same
-/// index scope the engine uses, so the replica also matches under
-/// armed fault injection.
-fn scalar_sweep() -> Vec<SweepPoint> {
-    let node = TechNode::nm100();
-    let line = node.line();
-    let driver = node.driver();
-    let options = OptimizerOptions::default();
-    let policy = RetryPolicy::default();
-    let rc = rc_optimum(&line, &driver);
-    grid()
-        .into_iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let rlc = LineRlc::new(line.resistance, l, line.capacitance);
-            run_point(i as u64, &policy, || {
-                let opt = optimize_rlc_with_retry(&rlc, &driver, options, &policy)?;
-                let rc_design_delay = segment_delay(
-                    &rlc,
-                    &driver,
-                    rc.segment_length,
-                    rc.repeater_size,
-                    options.threshold,
-                )?;
-                Ok(Solved {
-                    value: SweepPoint {
-                        inductance: rlc.inductance(),
-                        h_opt: opt.segment_length.get(),
-                        k_opt: opt.repeater_size,
-                        delay_per_length: opt.delay_per_length(),
-                        h_ratio: opt.segment_length.get() / rc.segment_length.get(),
-                        k_ratio: opt.repeater_size / rc.repeater_size,
-                        l_crit: opt.critical_inductance.get(),
-                        damping: opt.damping,
-                        rc_design_delay_per_length: rc_design_delay.get()
-                            / rc.segment_length.get(),
-                    },
-                    restarts: opt.restarts,
-                    degraded: opt.used_fallback,
-                })
-            })
-            .into_result()
-            .expect("scalar reference point must converge")
-        })
-        .collect()
-}
-
 /// Every `SweepPoint` field as raw bits (plus the damping regime), for
-/// exact scalar-vs-batch comparison beyond what the CSV rounds off.
+/// exact comparison beyond what the CSV rounds off.
 fn full_bits(p: &SweepPoint) -> ([u64; 8], rlckit_tline::Damping) {
     (
         [
@@ -145,64 +83,6 @@ fn full_bits(p: &SweepPoint) -> ([u64; 8], rlckit_tline::Damping) {
 }
 
 #[test]
-fn batched_sweep_is_bit_identical_to_the_scalar_path() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-    let scalar = scalar_sweep();
-    let reference_csv = campaign_csv(&scalar);
-    for (label, parallelism) in [
-        ("serial", Parallelism::Serial),
-        ("2 threads", Parallelism::Threads(2)),
-        ("5 threads", Parallelism::Threads(5)),
-    ] {
-        let batched = sweep(parallelism);
-        assert_eq!(scalar.len(), batched.len());
-        for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-            assert_eq!(
-                full_bits(s),
-                full_bits(b),
-                "point {i} drifted from the scalar path ({label})"
-            );
-        }
-        assert_eq!(
-            reference_csv,
-            campaign_csv(&batched),
-            "campaign CSV drifted from the scalar path ({label})"
-        );
-    }
-}
-
-#[test]
-fn batched_sweep_matches_the_scalar_path_under_armed_faults() {
-    let _guard = locked();
-    rlckit_fault::disarm();
-
-    rlckit_fault::arm(FAULT_SEED, 0.10);
-    let before = rlckit_trace::snapshot();
-    let scalar_csv = campaign_csv(&scalar_sweep());
-    let batched_serial = campaign_csv(&sweep(Parallelism::Serial));
-    let batched_two = campaign_csv(&sweep(Parallelism::Threads(2)));
-    let batched_five = campaign_csv(&sweep(Parallelism::Threads(5)));
-    let delta = rlckit_trace::snapshot().since(&before);
-    rlckit_fault::disarm();
-
-    assert!(
-        delta.counters_ending_with(".injected_faults") > 0,
-        "seed {FAULT_SEED} at 10 % must inject into this grid"
-    );
-    for (label, armed) in [
-        ("serial", &batched_serial),
-        ("2 threads", &batched_two),
-        ("5 threads", &batched_five),
-    ] {
-        assert_eq!(
-            &scalar_csv, armed,
-            "armed batched CSV drifted from the armed scalar path ({label})"
-        );
-    }
-}
-
-#[test]
 fn campaign_csv_is_byte_identical_across_schedulers_and_thread_counts() {
     let _guard = locked();
     rlckit_fault::disarm();
@@ -212,8 +92,8 @@ fn campaign_csv_is_byte_identical_across_schedulers_and_thread_counts() {
         let guided = sweep(Parallelism::Threads(threads));
         for (i, (s, g)) in serial.iter().zip(&guided).enumerate() {
             assert_eq!(
-                point_bits(s),
-                point_bits(g),
+                full_bits(s),
+                full_bits(g),
                 "point {i} drifted at {threads} threads"
             );
         }
@@ -233,8 +113,11 @@ fn campaign_csv_is_byte_identical_under_armed_faults() {
 
     rlckit_fault::arm(FAULT_SEED, 0.10);
     let before = rlckit_trace::snapshot();
-    let armed_serial = campaign_csv(&sweep(Parallelism::Serial));
-    let armed_guided = campaign_csv(&sweep(Parallelism::Threads(3)));
+    let armed = [
+        ("serial", campaign_csv(&sweep(Parallelism::Serial))),
+        ("2 threads", campaign_csv(&sweep(Parallelism::Threads(2)))),
+        ("5 threads", campaign_csv(&sweep(Parallelism::Threads(5)))),
+    ];
     let delta = rlckit_trace::snapshot().since(&before);
     rlckit_fault::disarm();
 
@@ -242,12 +125,10 @@ fn campaign_csv_is_byte_identical_under_armed_faults() {
         delta.counters_ending_with(".injected_faults") > 0,
         "seed {FAULT_SEED} at 10 % must inject into this grid"
     );
-    assert_eq!(
-        clean_csv, armed_serial,
-        "serial campaign CSV drifted under fault injection"
-    );
-    assert_eq!(
-        clean_csv, armed_guided,
-        "guided campaign CSV drifted under fault injection"
-    );
+    for (label, csv) in &armed {
+        assert_eq!(
+            &clean_csv, csv,
+            "campaign CSV drifted under fault injection ({label})"
+        );
+    }
 }

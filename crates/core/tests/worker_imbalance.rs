@@ -6,12 +6,10 @@
 //! per repeater count, and the per-count cost varies by roughly 3× —
 //! exactly the workload shape where a static split goes wrong. Guided
 //! claims start large and halve toward the tail, so fast workers absorb
-//! the imbalance by claiming more batches. The scheduled work item is a
-//! batched *column* of [`COLUMN_WIDTH`](rlckit::planner::COLUMN_WIDTH)
-//! counts, so the task totals below are column counts. The test pins
-//! the worker count, runs the trade-off through the campaign engine,
-//! and asserts that `par.tasks_per_worker` recorded a usable max/min
-//! task split for every worker.
+//! the imbalance by claiming more batches. The test pins the worker
+//! count, runs the trade-off through the campaign engine, and asserts
+//! that `par.tasks_per_worker` recorded a usable max/min task split for
+//! every worker.
 //!
 //! The `par.*` family is the one documented determinism exception: the
 //! totals below are exact, but *which* worker claimed how many tasks is
@@ -28,9 +26,9 @@ use rlckit_units::{HenriesPerMeter, Meters};
 /// so the test is host-independent).
 const WORKERS: usize = 4;
 
-/// Repeater counts to plan — enough *columns* that every worker sees
+/// Repeater counts to plan — enough items that every worker sees
 /// multiple claims under guided sizing (first claim ≈ len / 2·threads).
-const COUNTS: std::ops::RangeInclusive<usize> = 1..=96;
+const COUNTS: std::ops::RangeInclusive<usize> = 1..=24;
 
 #[test]
 fn planner_tradeoff_records_per_worker_task_counts() {
@@ -53,9 +51,8 @@ fn planner_tradeoff_records_per_worker_task_counts() {
     .expect("trade-off");
     let delta = rlckit_trace::snapshot().since(&before);
 
-    assert_eq!(plans.len(), COUNTS.count());
-    // The scheduled tasks are batched columns, not individual counts.
-    let total = COUNTS.count().div_ceil(rlckit::planner::COLUMN_WIDTH) as u64;
+    let total = COUNTS.count() as u64;
+    assert_eq!(plans.len() as u64, total);
     assert_eq!(delta.counter("par.guided_maps"), 1);
     assert_eq!(delta.counter("par.tasks"), total);
 

@@ -52,6 +52,15 @@
 //!
 //! # Scheduling
 //!
+//! A map over `n` workers spawns `n − 1` scoped threads and runs the
+//! last worker on the calling thread, which would otherwise sit idle
+//! in the join. A freshly spawned thread starts cold (stack, allocator
+//! arena, caches), so on a short map the spawn costs more than the
+//! work: an 8-point sweep of each Table 1 node took 0.60 ms serially,
+//! 1.15 ms on two spawned workers and 0.49–0.65 ms on one spawned
+//! worker plus the caller (2-vCPU Xeon). Which thread runs an item
+//! never changes its value: `f` sees only the item and its index.
+//!
 //! [`par_map_chunked`] distributes fixed-size chunks (~4 per worker by
 //! default) off an atomic counter. [`par_map_guided`] is the adaptive
 //! alternative for workloads with large per-item cost variance (the
@@ -258,9 +267,10 @@ where
     counter!("par.maps").incr();
     counter!("par.tasks").add(items.len() as u64);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
+        for _ in 1..threads.min(n_chunks) {
             scope.spawn(worker);
         }
+        worker();
     });
 
     let slots = slots.into_inner().expect("outcome slots never poisoned");
@@ -372,9 +382,10 @@ where
     counter!("par.guided_maps").incr();
     counter!("par.tasks").add(len as u64);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(len) {
+        for _ in 1..threads.min(len) {
             scope.spawn(worker);
         }
+        worker();
     });
 
     // The claims partition [0, len); sorted by start they reproduce the

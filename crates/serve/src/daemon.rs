@@ -110,8 +110,11 @@ impl Connection for std::net::TcpStream {
     }
 
     fn split(self) -> std::io::Result<(Self, Self)> {
+        // Responses are single short lines: without TCP_NODELAY, Nagle
+        // holds a line's tail until the previous segment is acked.
+        self.set_nodelay(true)?;
         // Clones share the socket, so the reader half inherits the
-        // timeout armed above.
+        // timeout armed above (and the no-delay flag).
         let reader = self.try_clone()?;
         Ok((reader, self))
     }
@@ -425,6 +428,18 @@ mod tests {
     }
 
     const ASK: &[u8] = b"{\"id\":1,\"op\":\"optimum\",\"node\":\"100nm\",\"l_nh_mm\":1.8}\n";
+
+    /// Pre-fix regression: accepted sockets kept Nagle's algorithm on,
+    /// so each response line's tail waited for the client's delayed ACK.
+    #[test]
+    fn accepted_tcp_streams_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().expect("accept");
+        let (reader, writer) = Connection::split(accepted).expect("split");
+        assert!(writer.nodelay().unwrap(), "writer half must not delay");
+        assert!(reader.nodelay().unwrap(), "reader half shares the socket");
+    }
 
     /// Pre-fix regression (the daemon-killer): an accept error, a peer
     /// whose metadata read fails, and a failed split each used to

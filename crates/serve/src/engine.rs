@@ -73,8 +73,9 @@
 //! `serve.requests` / `serve.parse_errors` / `serve.solve_errors`
 //! count intake and failures; `serve.latency_log2_ns` is a log₂-bucketed
 //! **end-to-end** (parse-to-write) latency histogram for query
-//! requests, recorded only while tracing is enabled so the disabled
-//! path stays clock-free. Percentiles come from
+//! requests, recorded on every query response whether or not tracing
+//! is enabled (one clock read at intake, one at write), so a default
+//! daemon's `stats` percentiles are live. Percentiles come from
 //! [`HistogramSnapshot::percentile`] via [`log2_percentile_ns`]. Queue
 //! depth is `par.pool.queue_depth` from the pool, and hit rate is
 //! `memo.hits` / `memo.misses` from the memo.
@@ -179,7 +180,7 @@ type Reply = (u64, u64, Option<Instant>, String);
 struct Job {
     seq: u64,
     trace_id: u64,
-    t0: Option<Instant>,
+    t0: Instant,
     query: Box<Query>,
     counters: Arc<SessionCounters>,
     reply: mpsc::Sender<Reply>,
@@ -311,7 +312,7 @@ impl Server {
                     event!(trace_id, "serve.solve", EventKind::Solve, 2);
                     response_error(Some(query.id), "internal error: solver panicked")
                 });
-                let _ = reply.send((seq, trace_id, t0, response));
+                let _ = reply.send((seq, trace_id, Some(t0), response));
             })
         };
         Self {
@@ -433,8 +434,9 @@ impl Server {
                                 writeln!(writer, "{text}")?;
                                 writer.flush()?;
                                 // Query requests only (`t0` is set iff the
-                                // request was a query with tracing live):
-                                // their response bytes are deterministic,
+                                // request was a query; `event!` records
+                                // only with tracing live): their
+                                // response bytes are deterministic,
                                 // keeping the drained event stream
                                 // byte-identical across seeded runs. The
                                 // router-answered ops' responses embed
@@ -506,7 +508,7 @@ impl Server {
                     }
                     counter!("serve.requests").incr();
                     let trace_id = TRACE_SEQ.fetch_add(1, Ordering::Relaxed);
-                    let t0 = rlckit_trace::enabled().then(Instant::now);
+                    let t0 = Instant::now();
                     match parse_request(&line) {
                         Ok(Request::Query(query)) => {
                             event!(trace_id, "serve.parse", EventKind::Parse, query.op.code());

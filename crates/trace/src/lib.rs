@@ -5,17 +5,27 @@
 //! golden-section calls, a sharded campaign driver) needs to know where
 //! iterations and wall-clock actually go. This crate is that
 //! instrumentation layer: process-wide **counters** and **iteration
-//! histograms** backed by relaxed atomics, lightweight RAII **span
+//! histograms** recorded into per-thread cells, lightweight RAII **span
 //! timers**, and an opt-in end-of-run **sink** selected by the
 //! `RLCKIT_TRACE` environment variable.
 //!
 //! # Cost model
 //!
-//! * A counter increment or histogram observation is one relaxed
-//!   `fetch_add` on a `static` atomic — no allocation, no branch on a
-//!   global flag, safe to leave in the hottest solver loops. The only
-//!   allocation a metric ever performs is its one-time registration
-//!   (a `Vec` push) the first time it is touched in a process.
+//! * Each thread owns a block of cells, allocated on its first
+//!   recording and indexed by the metric's registration index. Only
+//!   the owner writes its cells, with a relaxed load and store: a
+//!   counter increment is one such pair, a histogram observation four
+//!   (bucket, sum, min, max). No atomic read-modify-write, no branch on
+//!   a global flag, and no cache line shared with another writer, so
+//!   solver loops on different cores never contend. The only
+//!   allocations are a metric's one-time registration and a thread's
+//!   first chunk of cells.
+//! * [`snapshot`] sums, under the registry lock, the cells of every
+//!   live thread plus the totals of the threads that have exited. A
+//!   thread folds its cells into those totals from its thread-local
+//!   destructor, under the same lock, so every recording is counted
+//!   exactly once, and a snapshot taken right after a scoped-thread
+//!   join is exact even if the destructors have not run yet.
 //! * Span timers *are* gated: when tracing is disabled
 //!   ([`enabled`] returns `false`) [`SpanTimer::start`] returns an
 //!   inert guard without reading the clock, so the disabled path costs
@@ -75,11 +85,12 @@
 
 pub mod events;
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Number of exact histogram buckets: values `0..BUCKETS-1` count into
@@ -88,18 +99,289 @@ use std::time::Instant;
 /// digits, so the exact range is generous.
 pub const BUCKETS: usize = 33;
 
-/// One registered metric (all three kinds live in the same registry so
-/// a snapshot is a single lock + walk).
-enum Metric {
-    Counter(&'static Counter),
-    Histogram(&'static Histogram),
-    Span(&'static SpanTimer),
+// ---------------------------------------------------------------------------
+// Per-thread cells
+// ---------------------------------------------------------------------------
+
+/// Cells per chunk of a thread's block. A chunk is 4 KiB and 128-byte
+/// aligned, so it shares no cache line with any other allocation.
+const CHUNK_CELLS: usize = 512;
+
+/// `slot` value of a metric that has not registered yet.
+const UNREGISTERED: usize = usize::MAX;
+
+#[repr(align(128))]
+struct Chunk([AtomicU64; CHUNK_CELLS]);
+
+impl Chunk {
+    fn new() -> Arc<Self> {
+        Arc::new(Self(std::array::from_fn(|_| AtomicU64::new(0))))
+    }
+}
+
+/// The three metric kinds and their cell layouts. Every cell combines
+/// across threads either by sum or by max; a minimum is stored
+/// bit-inverted (`!v`) so it combines by max too, and a zero cell is
+/// the identity of both.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// `[value]`.
+    Counter,
+    /// `[bucket 0 .. bucket BUCKETS-1, sum, !min, max]`; the count is
+    /// the sum of the buckets.
+    Histogram,
+    /// `[count, total_ns, !min_ns, max_ns]`.
+    Span,
+}
+
+impl Kind {
+    const fn width(self) -> usize {
+        match self {
+            Self::Counter => 1,
+            Self::Histogram => BUCKETS + 3,
+            Self::Span => 4,
+        }
+    }
+
+    /// Combines cell `offset` of two threads: by max for the min/max
+    /// cells, by sum for the rest.
+    fn combine(self, offset: usize, a: u64, b: u64) -> u64 {
+        let first_max = match self {
+            Self::Counter => 1,
+            Self::Histogram => BUCKETS + 1,
+            Self::Span => 2,
+        };
+        if offset < first_max {
+            a.wrapping_add(b)
+        } else {
+            a.max(b)
+        }
+    }
+}
+
+/// One registered metric: its name, kind and first cell.
+struct Registered {
+    name: &'static str,
+    kind: Kind,
+    base: usize,
+}
+
+/// A live thread's block, as the registry sees it: the same chunks the
+/// thread writes, shared so a snapshot can read them.
+struct Block {
+    id: u64,
+    chunks: Vec<Arc<Chunk>>,
 }
 
 /// The process-wide metric registry. Metrics self-register on first
-/// touch; the vector only ever grows (bounded by the number of metric
-/// *call sites*, not calls).
-static REGISTRY: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
+/// touch (bounded by the number of metric *call sites*, not calls).
+struct Registry {
+    metrics: Vec<Registered>,
+    next_cell: usize,
+    live: Vec<Block>,
+    next_block: u64,
+    /// Folded totals of the threads that have exited, by cell.
+    retired: Vec<u64>,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    metrics: Vec::new(),
+    next_cell: 0,
+    live: Vec::new(),
+    next_block: 1,
+    retired: Vec::new(),
+});
+
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Registry {
+    /// Assigns `kind`'s cells to a metric, never straddling two chunks.
+    fn register(&mut self, name: &'static str, kind: Kind) -> usize {
+        let width = kind.width();
+        if self.next_cell % CHUNK_CELLS + width > CHUNK_CELLS {
+            self.next_cell = self.next_cell.next_multiple_of(CHUNK_CELLS);
+        }
+        let base = self.next_cell;
+        self.next_cell += width;
+        self.retired.resize(self.next_cell, 0);
+        self.metrics.push(Registered { name, kind, base });
+        base
+    }
+
+    /// Folds chunk number `index` of an exiting thread into the
+    /// retired totals.
+    fn retire(&mut self, index: usize, chunk: &Chunk) {
+        let range = index * CHUNK_CELLS..(index + 1) * CHUNK_CELLS;
+        for m in self.metrics.iter().filter(|m| range.contains(&m.base)) {
+            let cells = &chunk.0[m.base - range.start..][..m.kind.width()];
+            for (offset, cell) in cells.iter().enumerate() {
+                let total = &mut self.retired[m.base + offset];
+                *total = m.kind.combine(offset, *total, cell.load(Ordering::Relaxed));
+            }
+        }
+    }
+
+    /// One metric's cells over the retired totals and every live block:
+    /// each recorded value exactly once.
+    fn combined(&self, base: usize, kind: Kind) -> Vec<u64> {
+        let width = kind.width();
+        let (index, offset) = (base / CHUNK_CELLS, base % CHUNK_CELLS);
+        let mut totals = self.retired[base..base + width].to_vec();
+        for chunk in self.live.iter().filter_map(|b| b.chunks.get(index)) {
+            for (i, cell) in chunk.0[offset..offset + width].iter().enumerate() {
+                totals[i] = kind.combine(i, totals[i], cell.load(Ordering::Relaxed));
+            }
+        }
+        totals
+    }
+}
+
+/// This thread's cells. Only the owning thread writes them; the
+/// registry holds the same chunks for snapshots until the thread's
+/// exit folds them into the retired totals.
+struct Local {
+    /// Registry block id, 0 until the first chunk is allocated.
+    id: Cell<u64>,
+    chunks: RefCell<Vec<Arc<Chunk>>>,
+}
+
+impl Local {
+    /// Allocates chunks up to `index` and shares them with the registry.
+    #[cold]
+    #[inline(never)]
+    fn grow(&self, index: usize) {
+        let mut reg = registry();
+        if self.id.get() == 0 {
+            let id = reg.next_block;
+            reg.next_block += 1;
+            reg.live.push(Block { id, chunks: Vec::new() });
+            self.id.set(id);
+        }
+        let id = self.id.get();
+        let mut chunks = self.chunks.borrow_mut();
+        let block = reg.live.iter_mut().find(|b| b.id == id).expect("live block");
+        while chunks.len() <= index {
+            let chunk = Chunk::new();
+            block.chunks.push(Arc::clone(&chunk));
+            chunks.push(chunk);
+        }
+    }
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        let id = self.id.get();
+        if id == 0 {
+            return;
+        }
+        let mut reg = registry();
+        if let Some(pos) = reg.live.iter().position(|b| b.id == id) {
+            let block = reg.live.swap_remove(pos);
+            for (index, chunk) in block.chunks.iter().enumerate() {
+                reg.retire(index, chunk);
+            }
+        }
+    }
+}
+
+thread_local! {
+    static LOCAL: Local = const {
+        Local {
+            id: Cell::new(0),
+            chunks: RefCell::new(Vec::new()),
+        }
+    };
+}
+
+/// Runs `record` on this thread's cells of the metric at `base`.
+#[inline]
+fn with_cells(base: usize, record: impl Fn(&[AtomicU64])) {
+    let (index, offset) = (base / CHUNK_CELLS, base % CHUNK_CELLS);
+    let recorded = LOCAL.try_with(|local| {
+        if let Some(chunk) = local.chunks.borrow().get(index) {
+            record(&chunk.0[offset..]);
+            return;
+        }
+        local.grow(index);
+        record(&local.chunks.borrow()[index].0[offset..]);
+    });
+    if recorded.is_err() {
+        record_after_teardown(index, offset, &record);
+    }
+}
+
+/// A recording from a thread whose cells are already torn down (from
+/// another thread-local's destructor): record into a scratch chunk and
+/// fold it straight into the retired totals. Kept out of line so the
+/// record path carries no 4 KiB stack frame.
+#[cold]
+#[inline(never)]
+fn record_after_teardown(index: usize, offset: usize, record: &dyn Fn(&[AtomicU64])) {
+    let chunk = Chunk::new();
+    record(&chunk.0[offset..]);
+    registry().retire(index, &chunk);
+}
+
+/// Adds `n` to a cell only this thread writes: a plain load and store.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+}
+
+/// Raises a single-writer cell to `value`.
+#[inline]
+fn raise(cell: &AtomicU64, value: u64) {
+    if value > cell.load(Ordering::Relaxed) {
+        cell.store(value, Ordering::Relaxed);
+    }
+}
+
+/// A metric's registration state: its first cell, or [`UNREGISTERED`].
+/// The index is stored under the registry lock and publishes nothing
+/// else (registry state is only read under that lock), so relaxed
+/// loads suffice.
+struct Slot(AtomicUsize);
+
+impl Slot {
+    const fn new() -> Self {
+        Self(AtomicUsize::new(UNREGISTERED))
+    }
+
+    /// The metric's first cell, registering it on first touch.
+    #[inline]
+    fn base(&self, name: &'static str, kind: Kind) -> usize {
+        let base = self.0.load(Ordering::Relaxed);
+        if base != UNREGISTERED {
+            return base;
+        }
+        self.register(name, kind)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn register(&self, name: &'static str, kind: Kind) -> usize {
+        let mut reg = registry();
+        let base = self.0.load(Ordering::Relaxed);
+        if base != UNREGISTERED {
+            return base;
+        }
+        let base = reg.register(name, kind);
+        self.0.store(base, Ordering::Relaxed);
+        base
+    }
+
+    /// The metric's cells summed over every thread (zeros if it never
+    /// registered).
+    fn totals(&self, kind: Kind) -> Vec<u64> {
+        let base = self.0.load(Ordering::Relaxed);
+        if base == UNREGISTERED {
+            return vec![0; kind.width()];
+        }
+        registry().combined(base, kind)
+    }
+}
 
 /// A monotonically increasing event counter.
 ///
@@ -107,8 +389,7 @@ static REGISTRY: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
 /// what makes increments allocation-free.
 pub struct Counter {
     name: &'static str,
-    value: AtomicU64,
-    registered: AtomicBool,
+    slot: Slot,
 }
 
 impl Counter {
@@ -117,18 +398,13 @@ impl Counter {
     pub const fn new(name: &'static str) -> Self {
         Self {
             name,
-            value: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
+            slot: Slot::new(),
         }
     }
 
-    /// Adds `n` to the counter (relaxed; safe from any thread).
+    /// Adds `n` to the counter (this thread's cell; safe from any thread).
     pub fn add(&'static self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::SeqCst)
-        {
-            REGISTRY.lock().expect("registry lock").push(Metric::Counter(self));
-        }
+        with_cells(self.slot.base(self.name, Kind::Counter), |c| bump(&c[0], n));
     }
 
     /// Increments the counter by one.
@@ -136,10 +412,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value.
+    /// Current value, summed over every thread.
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.slot.totals(Kind::Counter)[0]
     }
 
     /// Metric name.
@@ -154,69 +430,35 @@ impl Counter {
 /// count/sum/min/max.
 pub struct Histogram {
     name: &'static str,
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    registered: AtomicBool,
+    slot: Slot,
 }
 
 impl Histogram {
     /// Creates an unregistered histogram (const: usable in `static`s).
     #[must_use]
     pub const fn new(name: &'static str) -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
         Self {
             name,
-            buckets: [ZERO; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
+            slot: Slot::new(),
         }
     }
 
-    /// Records one observation (relaxed; safe from any thread).
+    /// Records one observation (this thread's cells; safe from any
+    /// thread).
     pub fn observe(&'static self, value: u64) {
         let bucket = (value as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::SeqCst)
-        {
-            REGISTRY.lock().expect("registry lock").push(Metric::Histogram(self));
-        }
+        with_cells(self.slot.base(self.name, Kind::Histogram), |c| {
+            bump(&c[bucket], 1);
+            bump(&c[BUCKETS], value);
+            raise(&c[BUCKETS + 1], !value);
+            raise(&c[BUCKETS + 2], value);
+        });
     }
 
-    /// Records `n` identical observations in one pass (relaxed; safe
-    /// from any thread). Equivalent to calling [`Histogram::observe`]
-    /// `n` times with the same `value`; batch engines use it to flush
-    /// locally-accumulated per-round tallies without one RMW per event.
-    pub fn observe_n(&'static self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let bucket = (value as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::SeqCst)
-        {
-            REGISTRY.lock().expect("registry lock").push(Metric::Histogram(self));
-        }
-    }
-
-    /// Number of observations so far.
+    /// Number of observations so far, summed over every thread.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.slot.totals(Kind::Histogram)[..BUCKETS].iter().sum()
     }
 
     /// Metric name.
@@ -230,11 +472,7 @@ impl Histogram {
 /// min and max, all in nanoseconds.
 pub struct SpanTimer {
     name: &'static str,
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-    registered: AtomicBool,
+    slot: Slot,
 }
 
 impl SpanTimer {
@@ -243,11 +481,7 @@ impl SpanTimer {
     pub const fn new(name: &'static str) -> Self {
         Self {
             name,
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
+            slot: Slot::new(),
         }
     }
 
@@ -264,14 +498,12 @@ impl SpanTimer {
 
     /// Records a completed span of `ns` nanoseconds directly.
     pub fn record_ns(&'static self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::SeqCst)
-        {
-            REGISTRY.lock().expect("registry lock").push(Metric::Span(self));
-        }
+        with_cells(self.slot.base(self.name, Kind::Span), |c| {
+            bump(&c[0], 1);
+            bump(&c[1], ns);
+            raise(&c[2], !ns);
+            raise(&c[3], ns);
+        });
     }
 
     /// Metric name.
@@ -504,9 +736,10 @@ pub struct SpanSnapshot {
     pub max_ns: u64,
 }
 
-/// A consistent-enough copy of every registered metric (individual
-/// loads are relaxed; concurrent increments may straddle the walk,
-/// which telemetry tolerates by design).
+/// A consistent-enough copy of every registered metric (cells of
+/// threads still recording are read with relaxed loads, so their
+/// concurrent increments may straddle the walk, which telemetry
+/// tolerates by design; exited and joined threads are counted exactly).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -583,57 +816,49 @@ impl Snapshot {
     }
 }
 
-/// Captures the current value of every registered metric.
+/// Captures the current value of every registered metric: under the
+/// registry lock, the totals of the threads that have exited plus the
+/// cells of every live thread. A thread's cells stay live until its
+/// exit folds them, so a snapshot taken right after a scoped-thread
+/// join counts everything the joined threads recorded.
 #[must_use]
 pub fn snapshot() -> Snapshot {
     let mut snap = Snapshot::default();
-    let registry = REGISTRY.lock().expect("registry lock");
-    for metric in registry.iter() {
-        match metric {
-            Metric::Counter(c) => {
-                *snap.counters.entry(c.name.to_string()).or_insert(0) += c.value();
-            }
-            Metric::Histogram(h) => {
-                let entry = snap
-                    .histograms
-                    .entry(h.name.to_string())
-                    .or_default();
-                let count = h.count.load(Ordering::Relaxed);
+    let reg = registry();
+    for m in &reg.metrics {
+        let cells = reg.combined(m.base, m.kind);
+        let name = m.name.to_string();
+        match m.kind {
+            Kind::Counter => *snap.counters.entry(name).or_insert(0) += cells[0],
+            Kind::Histogram => {
+                let entry = snap.histograms.entry(name).or_default();
+                let buckets = &cells[..BUCKETS];
+                let count: u64 = buckets.iter().sum();
                 entry.count += count;
-                entry.sum += h.sum.load(Ordering::Relaxed);
+                entry.sum += cells[BUCKETS];
                 if count > 0 {
-                    let min = h.min.load(Ordering::Relaxed);
-                    let max = h.max.load(Ordering::Relaxed);
+                    let (min, max) = (!cells[BUCKETS + 1], cells[BUCKETS + 2]);
                     entry.min = Some(entry.min.map_or(min, |m| m.min(min)));
                     entry.max = Some(entry.max.map_or(max, |m| m.max(max)));
                 }
                 if entry.buckets.is_empty() {
                     entry.buckets = vec![0; BUCKETS];
                 }
-                for (dst, src) in entry.buckets.iter_mut().zip(&h.buckets) {
-                    *dst += src.load(Ordering::Relaxed);
+                for (dst, src) in entry.buckets.iter_mut().zip(buckets) {
+                    *dst += src;
                 }
             }
-            Metric::Span(s) => {
-                let entry = snap.spans.entry(s.name.to_string()).or_default();
-                let count = s.count.load(Ordering::Relaxed);
-                entry.count += count;
-                entry.total_ns += s.total_ns.load(Ordering::Relaxed);
-                if count > 0 {
-                    entry.min_ns = entry.min_ns.min(s.min_ns.load(Ordering::Relaxed));
-                }
-                if entry.count == 0 {
-                    entry.min_ns = u64::MAX;
-                }
-                entry.max_ns = entry.max_ns.max(s.max_ns.load(Ordering::Relaxed));
+            Kind::Span => {
+                let entry = snap.spans.entry(name).or_insert(SpanSnapshot {
+                    min_ns: u64::MAX,
+                    ..SpanSnapshot::default()
+                });
+                entry.count += cells[0];
+                entry.total_ns += cells[1];
+                // An empty span's inverted-min cell is 0, i.e. u64::MAX.
+                entry.min_ns = entry.min_ns.min(!cells[2]);
+                entry.max_ns = entry.max_ns.max(cells[3]);
             }
-        }
-    }
-    // Normalize empty span minima so Default (0) doesn't masquerade as
-    // a measured 0 ns span.
-    for s in snap.spans.values_mut() {
-        if s.count == 0 {
-            s.min_ns = u64::MAX;
         }
     }
     snap
@@ -861,27 +1086,135 @@ mod tests {
         assert_eq!(hs.max_bucket(), Some(BUCKETS - 1));
     }
 
+    /// What thread `t` records in one round: counter `+= t + 1` per
+    /// observation, and histogram values spread over exact buckets plus
+    /// one overflow value per round.
+    fn round_values(t: u64, round: u64) -> Vec<u64> {
+        let mut values: Vec<u64> = (0..20).map(|i| (t * 3 + i + round) % 9).collect();
+        values.push(40 + t + round);
+        values
+    }
+
+    /// Totals of `threads`' rounds, computed without the registry.
+    fn expected(threads: std::ops::Range<u64>, rounds: &[u64]) -> (u64, HistogramSnapshot) {
+        let mut counter = 0;
+        let mut h = HistogramSnapshot {
+            buckets: vec![0; BUCKETS],
+            ..HistogramSnapshot::default()
+        };
+        for t in threads {
+            for &round in rounds {
+                for v in round_values(t, round) {
+                    counter += t + 1;
+                    h.count += 1;
+                    h.sum += v;
+                    h.buckets[(v as usize).min(BUCKETS - 1)] += 1;
+                    h.min = Some(h.min.map_or(v, |m| m.min(v)));
+                    h.max = Some(h.max.map_or(v, |m| m.max(v)));
+                }
+            }
+        }
+        (counter, h)
+    }
+
+    /// One call site per metric, so `value()`/`count()` see every
+    /// thread's recordings.
+    fn cells_counter() -> &'static Counter {
+        counter!("test.cells_counter")
+    }
+
+    fn cells_histogram() -> &'static Histogram {
+        histogram!("test.cells_histogram")
+    }
+
+    fn record_round(t: u64, round: u64) {
+        for v in round_values(t, round) {
+            cells_counter().add(t + 1);
+            cells_histogram().observe(v);
+        }
+    }
+
+    /// Eight threads record into their own cells. Four exit before the
+    /// snapshot (their cells are folded, or about to be); four are
+    /// parked on a barrier while it is taken (their cells are live).
+    /// Every total, bucket and extreme is exact either way, and so are
+    /// the `since` deltas of what the parked threads record after it.
     #[test]
-    fn observe_n_matches_repeated_observe() {
-        let bulk = histogram!("test.observe_n_bulk");
-        let loop_h = histogram!("test.observe_n_loop");
-        bulk.observe_n(3, 5);
-        bulk.observe_n(40, 2);
-        bulk.observe_n(7, 0); // zero repeats must not register min/max
-        for _ in 0..5 {
-            loop_h.observe(3);
+    fn per_thread_cells_sum_exactly_across_live_and_exited_threads() {
+        let recorded = std::sync::Barrier::new(5);
+        let release = std::sync::Barrier::new(5);
+        let mut at_barrier = None;
+        std::thread::scope(|scope| {
+            let exiters: Vec<_> = (0..4u64)
+                .map(|t| scope.spawn(move || record_round(t, 0)))
+                .collect();
+            for t in 4..8u64 {
+                let (recorded, release) = (&recorded, &release);
+                scope.spawn(move || {
+                    record_round(t, 0);
+                    recorded.wait();
+                    release.wait();
+                    record_round(t, 1);
+                });
+            }
+            for handle in exiters {
+                handle.join().expect("exiter");
+            }
+            recorded.wait();
+            at_barrier = Some((
+                snapshot(),
+                cells_counter().value(),
+                cells_histogram().count(),
+            ));
+            release.wait();
+        });
+        // No waiting for thread-local destructors: the scope has joined,
+        // and every cell is counted whether or not it has been folded.
+        let after = snapshot();
+        let (snap, value, count) = at_barrier.expect("snapshot at the barrier");
+        let (counter, h) = expected(0..8, &[0]);
+        assert_eq!(snap.counter("test.cells_counter"), counter);
+        assert_eq!(snap.histograms["test.cells_histogram"], h);
+        assert_eq!(value, counter);
+        assert_eq!(count, h.count);
+        let (more, more_h) = expected(4..8, &[1]);
+        assert_eq!(after.counter("test.cells_counter"), counter + more);
+        let total = &after.histograms["test.cells_histogram"];
+        assert_eq!(total.count, h.count + more_h.count);
+        assert_eq!(total.sum, h.sum + more_h.sum);
+        assert_eq!(total.min, h.min.min(more_h.min));
+        assert_eq!(total.max, h.max.max(more_h.max));
+
+        let delta = after.since(&snap);
+        assert_eq!(delta.counter("test.cells_counter"), more);
+        let hd = &delta.histograms["test.cells_histogram"];
+        assert_eq!(hd.count, more_h.count);
+        assert_eq!(hd.sum, more_h.sum);
+        assert_eq!(hd.buckets, more_h.buckets);
+    }
+
+    /// A snapshot taken immediately after `thread::scope` returns counts
+    /// everything the scoped threads recorded, round after round (the
+    /// threads' exit-time folds race the snapshot and must never drop
+    /// or double-count a cell).
+    #[test]
+    fn snapshot_right_after_a_scope_join_is_exact() {
+        for round in 0..20u64 {
+            let before = snapshot();
+            std::thread::scope(|scope| {
+                for t in 0..8u64 {
+                    scope.spawn(move || {
+                        counter!("test.scope_join_counter").add(t + 1);
+                        histogram!("test.scope_join_histogram").observe(t + round);
+                    });
+                }
+            });
+            let delta = snapshot().since(&before);
+            assert_eq!(delta.counter("test.scope_join_counter"), 36, "round {round}");
+            let h = &delta.histograms["test.scope_join_histogram"];
+            assert_eq!(h.count, 8, "round {round}");
+            assert_eq!(h.sum, 28 + 8 * round, "round {round}");
         }
-        for _ in 0..2 {
-            loop_h.observe(40);
-        }
-        let snap = snapshot();
-        let b = &snap.histograms["test.observe_n_bulk"];
-        let l = &snap.histograms["test.observe_n_loop"];
-        assert_eq!(b.count, l.count);
-        assert_eq!(b.sum, l.sum);
-        assert_eq!(b.min, l.min);
-        assert_eq!(b.max, l.max);
-        assert_eq!(b.buckets, l.buckets);
     }
 
     #[test]
