@@ -48,8 +48,8 @@ fn bench_standard_sweep(h: &mut Harness) {
                         delta.counters_ending_with(".no_convergence") as f64 / points,
                     ),
                     (
-                        "optimizer_cache_hits_per_point".to_string(),
-                        delta.counter("optimizer.cache.hits") as f64 / points,
+                        "delay_solves_per_point".to_string(),
+                        delta.counter("twopole.delay.solves") as f64 / points,
                     ),
                 ]
             },

@@ -45,8 +45,8 @@ pub fn emit(name: &str, heading: &str, table: &Table) {
 /// Prints the one-line campaign trace summary for a fig/table binary to
 /// stderr and flushes the `RLCKIT_TRACE` sink (a no-op when tracing is
 /// disabled). Call at the end of every experiment binary's `main` so
-/// CSV regeneration logs record points solved, `NoConvergence` tallies
-/// and relaxed-tolerance accepts.
+/// CSV regeneration logs record points solved, `NoConvergence` tallies,
+/// fallbacks, retries and injected faults.
 pub fn trace_footer(bin: &str) {
     eprintln!("{bin}: {}", rlckit::report::campaign_trace_summary());
     rlckit_trace::flush();

@@ -22,8 +22,14 @@ use std::sync::Mutex;
 
 use rlckit_numeric::{NumericError, Result};
 
-/// Version stamped into checkpoint headers; bump on format changes.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version stamped into checkpoint headers.
+///
+/// Bump it on format changes **and** when solver output bits change: a
+/// resumed campaign must equal an uninterrupted one, so points
+/// persisted by an older solver have to be recomputed, not adopted.
+/// Version 2: the optimizer's exact outer Jacobian moved the optimum
+/// bits.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// FNV-1a over a stream of `u64` words (fed byte-wise, little-endian).
 ///
@@ -346,7 +352,7 @@ mod tests {
         std::fs::write(
             &path,
             format!(
-                "{{\"type\":\"header\",\"version\":1,\"fingerprint\":\"{fp:#018x}\"}}\n\
+                "{{\"type\":\"header\",\"version\":{CHECKPOINT_VERSION},\"fingerprint\":\"{fp:#018x}\"}}\n\
                  {{\"type\":\"point\",\"index\":0,\"words\":[\"0x0000000000000001\"]}}\n\
                  not json at all\n\
                  {{\"type\":\"point\",\"index\":1,\"words\":[\"0xzz\"]}}\n\

@@ -71,6 +71,7 @@ pub mod batch;
 pub mod checkpoint;
 pub mod elmore;
 pub mod failure;
+mod jet;
 pub mod memo;
 pub mod optimizer;
 pub mod outcome;

@@ -1,7 +1,6 @@
-//! Cache-correctness at campaign scale: the hot-path caches (optimizer
-//! residual cache, planner probe cache) and the guided self-scheduler
-//! must not change a single bit of campaign output — serial, at
-//! multiple thread counts, and under armed fault injection.
+//! Bit identity at campaign scale: the guided self-scheduler must not
+//! change a single bit of campaign output — serial, at multiple thread
+//! counts, and under armed fault injection.
 //!
 //! Fault arming and trace counters are process-global, so every test
 //! takes `FAULT_LOCK` for its whole body and sets the armed state

@@ -129,6 +129,49 @@ fn armed_campaign_is_bit_identical_to_clean_run() {
     }
 }
 
+/// At rate 1.0 every scope plans one injection at a hit index below
+/// `rlckit_fault::TARGET_WINDOW`. A solver change that leaves a sweep
+/// point with fewer faultpoint hits than the window would push some
+/// planned injections past the end of the computation, silently
+/// disarming the harness for those points; this pins the window to the
+/// real per-point hit count on the campaign nodes' 50-point grids.
+#[test]
+fn every_scope_of_a_sweep_injects_at_rate_one() {
+    let _guard = locked();
+    let mut nodes = TechNode::table1();
+    nodes.push(TechNode::nm100_with_250nm_dielectric());
+    let grid: Vec<HenriesPerMeter> = rlckit_numeric::grid::linspace(0.0, 4.95, 50)
+        .into_iter()
+        .map(HenriesPerMeter::from_nano_per_milli)
+        .collect();
+    for node in nodes {
+        rlckit_fault::arm(FAULT_SEED, 1.0);
+        let before = rlckit_trace::snapshot();
+        let outcomes = inductance_sweep_outcomes(
+            &node.line(),
+            &node.driver(),
+            grid.clone(),
+            OptimizerOptions::default(),
+            &RetryPolicy::default(),
+            Parallelism::Serial,
+        )
+        .expect("campaign engine failure");
+        let delta = rlckit_trace::snapshot().since(&before);
+        rlckit_fault::disarm();
+        assert_eq!(
+            delta.counters_ending_with(".injected_faults"),
+            grid.len() as u64,
+            "{}: every scope must take exactly one injection at rate 1.0",
+            node.name()
+        );
+        assert!(
+            outcomes.iter().all(|o| !o.is_failed()),
+            "{}: the retry ladder must absorb every injection",
+            node.name()
+        );
+    }
+}
+
 #[test]
 fn serial_and_parallel_agree_bit_for_bit_under_faults() {
     let _guard = locked();
@@ -332,6 +375,40 @@ fn checkpoint_resume_reproduces_the_uninterrupted_campaign() {
             point_bits(u),
             "point {i}: armed resume drifted from the uninterrupted run"
         );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Points persisted under an older `CHECKPOINT_VERSION` came from an
+/// older solver whose bits no cold solve reproduces now: a resume must
+/// recompute them rather than adopt them, or "resumed = uninterrupted"
+/// breaks. The file below is complete and well-formed with a matching
+/// input fingerprint; only its header's version is 1.
+#[test]
+fn version_1_checkpoint_is_recomputed() {
+    let _guard = locked();
+    rlckit_fault::disarm();
+    let node = TechNode::nm250();
+    let n = 5;
+    let path = temp_checkpoint("version-1");
+    let fresh = standard_node_sweep_resumable(&node, n, &path).expect("checkpointed sweep");
+    let current = format!("\"version\":{},", rlckit::checkpoint::CHECKPOINT_VERSION);
+    let contents = std::fs::read_to_string(&path).expect("checkpoint readable");
+    assert!(contents.lines().next().unwrap().contains(&current));
+    std::fs::write(&path, contents.replacen(&current, "\"version\":1,", 1))
+        .expect("rewrite header");
+
+    let before = rlckit_trace::snapshot();
+    let resumed = standard_node_sweep_resumable(&node, n, &path).expect("resumed sweep");
+    let delta = rlckit_trace::snapshot().since(&before);
+    assert_eq!(
+        delta.counter("sweeps.checkpoint.skipped"),
+        0,
+        "a v1 point was adopted"
+    );
+    assert_eq!(delta.counter("sweeps.checkpoint.streamed"), n as u64);
+    for (r, f) in resumed.iter().zip(&fresh) {
+        assert_eq!(point_bits(r), point_bits(f));
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -63,11 +63,15 @@ pub use rlckit_trace as __trace;
 ///
 /// The target hit index is drawn uniformly from `0..TARGET_WINDOW`; a
 /// scope whose computation performs fewer hits than its target simply
-/// stays clean, so the effective fault rate is slightly below the
-/// configured one for short scopes. One `rlckit` sweep point performs
-/// roughly 40–80 hits (optimizer entry plus every inner delay solve),
-/// so 64 spreads injections across the whole solve ladder.
-pub const TARGET_WINDOW: u32 = 64;
+/// stays clean, so the window must not exceed the shortest scope it is
+/// meant to cover. One `rlckit` sweep point performs 13–19 hits (the
+/// outer Newton's entry plus two per inner delay solve, about seven
+/// delay solves per optimum), so a window of 12 lands every planned
+/// injection inside the computation while still spreading injections
+/// across the solve ladder. Re-size it when a solver change moves the
+/// per-point minimum; `rlckit`'s `every_scope_of_a_sweep_injects_at_rate_one`
+/// test fails when a point makes fewer hits than the window.
+pub const TARGET_WINDOW: u32 = 12;
 
 // Programmatic override, mirroring rlckit-trace's FORCED pattern:
 // 0 = follow the environment, 1 = forced armed, 2 = forced disarmed.

@@ -1,10 +1,9 @@
 //! Finite-difference derivative helpers.
 //!
-//! The optimizer uses analytic derivatives for the residuals themselves
-//! (the paper's `∂s₁,₂/∂h,k`) but estimates the outer Jacobian of the
-//! stationarity system by central differences, which is robust across the
-//! damping-regime boundary. These helpers centralize the step-size
-//! heuristics.
+//! The solvers use analytic derivatives; these central differences are
+//! the independent reference their tests check them against (the RLC
+//! optimizer's exact outer Jacobian among them). They centralize the
+//! step-size heuristics.
 
 /// Central-difference first derivative of `f` at `x`.
 ///

@@ -32,13 +32,6 @@ pub struct RootOptions {
     pub f_tol: f64,
     /// Iteration budget.
     pub max_iterations: usize,
-    /// Opt-in loosened acceptance for [`newton_system`]: when `Some`,
-    /// a solve that exhausts its budget while still improving is
-    /// accepted if the residual norm is below this looser tolerance
-    /// (on top of `f_tol`). `None` (the default) keeps the caller's
-    /// `f_tol` strict — budget exhaustion above `f_tol` is reported as
-    /// [`NumericError::NoConvergence`], never silently accepted.
-    pub relaxed_f_tol: Option<f64>,
 }
 
 impl Default for RootOptions {
@@ -47,7 +40,6 @@ impl Default for RootOptions {
             x_tol: 1e-14,
             f_tol: 1e-14,
             max_iterations: 100,
-            relaxed_f_tol: None,
         }
     }
 }
@@ -367,12 +359,21 @@ pub fn expand_bracket(
     Err(NumericError::InvalidBracket { lo: a, hi: b })
 }
 
+/// The first iterate of a bracketed Newton solve on `[a, b]`: `start`
+/// if it lies strictly inside, the midpoint otherwise.
+fn first_iterate(a: f64, b: f64, start: Option<f64>) -> f64 {
+    start.filter(|&x| a < x && x < b).unwrap_or(0.5 * (a + b))
+}
+
 /// Newton–Raphson with an automatic bisection fallback on a bracket.
 ///
 /// The Newton iterate is accepted only while it stays inside the current
 /// bracket; otherwise the step falls back to bisection. This retains the
 /// quadratic convergence the paper reports (≤ 4 iterations) while being
 /// globally convergent on a valid bracket.
+///
+/// The first iterate is `start` when it lies strictly inside the
+/// bracket, and the bracket midpoint otherwise (including `None`).
 ///
 /// # Errors
 ///
@@ -383,6 +384,7 @@ pub fn newton_bracketed(
     df: impl FnMut(f64) -> f64,
     lo: f64,
     hi: f64,
+    start: Option<f64>,
     options: RootOptions,
 ) -> Result<Root> {
     counter!("roots.newton_bracketed.solves").incr();
@@ -391,7 +393,7 @@ pub fn newton_bracketed(
             site: "roots.newton_bracketed",
         });
     }
-    let result = newton_bracketed_impl(f, df, lo, hi, options);
+    let result = newton_bracketed_impl(f, df, lo, hi, start, options);
     tally_root(
         histogram!("roots.newton_bracketed.iterations"),
         counter!("roots.newton_bracketed.budget_exhausted"),
@@ -409,12 +411,14 @@ pub fn newton_bracketed(
 /// more than either alone. `seed`, when `Some((f_lo, f_hi))`, supplies
 /// the residuals at `lo` and `hi` so the solver does not re-evaluate
 /// endpoints the caller has already computed (the delay solve's bracket
-/// expansion ends on exactly such an evaluation).
+/// expansion ends on exactly such an evaluation). `start` picks the
+/// first iterate as in [`newton_bracketed`].
 ///
 /// The iterate sequence — and therefore the returned [`Root`] — is
 /// bit-identical to [`newton_bracketed`] with separate `f`/`df`
-/// closures, provided `fdf` returns the same bits as the separate
-/// evaluations and the seeded residuals match `f(lo)`/`f(hi)` exactly.
+/// closures and the same `start`, provided `fdf` returns the same bits
+/// as the separate evaluations and the seeded residuals match
+/// `f(lo)`/`f(hi)` exactly.
 /// Only the *number* of closure calls changes.
 ///
 /// # Errors
@@ -426,6 +430,7 @@ pub fn newton_bracketed_fdf(
     lo: f64,
     hi: f64,
     seed: Option<(f64, f64)>,
+    start: Option<f64>,
     options: RootOptions,
 ) -> Result<Root> {
     counter!("roots.newton_bracketed.solves").incr();
@@ -434,7 +439,7 @@ pub fn newton_bracketed_fdf(
             site: "roots.newton_bracketed",
         });
     }
-    let result = newton_bracketed_fdf_impl(fdf, lo, hi, seed, options);
+    let result = newton_bracketed_fdf_impl(fdf, lo, hi, seed, start, options);
     tally_root(
         histogram!("roots.newton_bracketed.iterations"),
         counter!("roots.newton_bracketed.budget_exhausted"),
@@ -448,6 +453,7 @@ fn newton_bracketed_fdf_impl(
     lo: f64,
     hi: f64,
     seed: Option<(f64, f64)>,
+    start: Option<f64>,
     options: RootOptions,
 ) -> Result<Root> {
     let (mut a, mut b) = (lo.min(hi), lo.max(hi));
@@ -473,7 +479,7 @@ fn newton_bracketed_fdf_impl(
         return Err(NumericError::InvalidBracket { lo: a, hi: b });
     }
 
-    let mut x = 0.5 * (a + b);
+    let mut x = first_iterate(a, b, start);
     let mut eval = fdf(x);
     for iteration in 1..=options.max_iterations {
         let (fx, dfx) = eval;
@@ -528,6 +534,7 @@ fn newton_bracketed_impl(
     mut df: impl FnMut(f64) -> f64,
     lo: f64,
     hi: f64,
+    start: Option<f64>,
     options: RootOptions,
 ) -> Result<Root> {
     let (mut a, mut b) = (lo.min(hi), lo.max(hi));
@@ -551,7 +558,7 @@ fn newton_bracketed_impl(
         return Err(NumericError::InvalidBracket { lo: a, hi: b });
     }
 
-    let mut x = 0.5 * (a + b);
+    let mut x = first_iterate(a, b, start);
     for iteration in 1..=options.max_iterations {
         let fx = f(x);
         if fx.abs() <= options.f_tol {
@@ -613,26 +620,29 @@ pub struct SystemRoot {
 
 /// Damped Newton for a small nonlinear system `F(x) = 0`.
 ///
-/// The caller supplies the residual `f(x, &mut out)` and Jacobian
-/// `jac(x, &mut out_matrix)` (row-major, dense). The step is damped by
-/// halving until the residual norm does not increase (simple Armijo-type
-/// backtracking), which is what lets the optimizer cross the
-/// critically-damped manifold where the residual is non-smooth.
+/// The caller supplies one evaluation `f(x, &mut residual, &mut
+/// jacobian)` that fills the residual and its dense row-major Jacobian
+/// together: the Jacobian is always wanted at the last evaluated point,
+/// so computing both in one pass lets them share their work. The step
+/// is damped by halving until the residual norm decreases (simple
+/// Armijo-type backtracking); the Jacobians of rejected trial points
+/// are discarded.
 ///
-/// Convergence requires the residual norm to meet `options.f_tol` (or a
-/// small step under `options.x_tol` while improving). If the iteration
-/// budget runs out with the residual still above `f_tol`, the solve
-/// fails — unless the caller opted into a looser acceptance via
-/// [`RootOptions::relaxed_f_tol`].
+/// Convergence requires the residual norm to meet `options.f_tol`, or
+/// a step under `options.x_tol` that still reduced the residual. On
+/// success the returned `x` is always the point of the last call to
+/// `f`, so a caller can keep by-products of that evaluation instead of
+/// recomputing them.
 ///
 /// # Errors
 ///
-/// Returns [`NumericError::NoConvergence`] on budget exhaustion,
-/// [`NumericError::SingularMatrix`] if the Jacobian is singular, or
-/// [`NumericError::NonFiniteResidual`] if residuals become non-finite.
+/// Returns [`NumericError::NoConvergence`] on budget exhaustion or a
+/// stalled line search, [`NumericError::SingularMatrix`] if the
+/// Jacobian is singular, or [`NumericError::NonFiniteResidual`] if the
+/// residual at `x0` is non-finite (non-finite trial points are only
+/// backtracked from).
 pub fn newton_system(
-    f: impl FnMut(&[f64], &mut [f64]),
-    jac: impl FnMut(&[f64], &mut crate::dense::Matrix),
+    f: impl FnMut(&[f64], &mut [f64], &mut crate::dense::Matrix),
     x0: &[f64],
     options: RootOptions,
 ) -> Result<SystemRoot> {
@@ -642,7 +652,7 @@ pub fn newton_system(
             site: "roots.newton_system",
         });
     }
-    let result = newton_system_impl(f, jac, x0, options);
+    let result = newton_system_impl(f, x0, options);
     match &result {
         Ok(root) => {
             histogram!("roots.newton_system.iterations").observe(root.iterations as u64);
@@ -656,8 +666,7 @@ pub fn newton_system(
 }
 
 fn newton_system_impl(
-    mut f: impl FnMut(&[f64], &mut [f64]),
-    mut jac: impl FnMut(&[f64], &mut crate::dense::Matrix),
+    mut f: impl FnMut(&[f64], &mut [f64], &mut crate::dense::Matrix),
     x0: &[f64],
     options: RootOptions,
 ) -> Result<SystemRoot> {
@@ -665,9 +674,12 @@ fn newton_system_impl(
     let mut x = x0.to_vec();
     let mut residual = vec![0.0; n];
     let mut jacobian = crate::dense::Matrix::zeros(n, n);
+    let mut trial = vec![0.0; n];
+    let mut trial_res = vec![0.0; n];
+    let mut trial_jac = crate::dense::Matrix::zeros(n, n);
     let inf_norm = |v: &[f64]| v.iter().fold(0.0f64, |m, &a| m.max(a.abs()));
 
-    f(&x, &mut residual);
+    f(&x, &mut residual, &mut jacobian);
     crate::injected_abort("roots.newton_system")?;
     let mut rnorm = inf_norm(&residual);
     for iteration in 1..=options.max_iterations {
@@ -684,20 +696,16 @@ fn newton_system_impl(
                 iterations: iteration - 1,
             });
         }
-        jac(&x, &mut jacobian);
-        crate::injected_abort("roots.newton_system")?;
         let step = jacobian.lu()?.solve(&residual)?;
 
         // Backtracking line search on the residual norm.
         let mut lambda = 1.0f64;
         let mut accepted = false;
-        let mut trial = vec![0.0; n];
-        let mut trial_res = vec![0.0; n];
         for _ in 0..30 {
             for i in 0..n {
                 trial[i] = x[i] - lambda * step[i];
             }
-            f(&trial, &mut trial_res);
+            f(&trial, &mut trial_res, &mut trial_jac);
             // An injected fault inside a trial evaluation surfaces as a
             // NaN residual here; without this fail-stop the next
             // halving would re-evaluate cleanly and the solve would
@@ -705,10 +713,10 @@ fn newton_system_impl(
             crate::injected_abort("roots.newton_system")?;
             let tnorm = inf_norm(&trial_res);
             if tnorm.is_finite() && tnorm < rnorm {
-                x.copy_from_slice(&trial);
-                residual.copy_from_slice(&trial_res);
-                let step_small =
-                    lambda * inf_norm(&step) <= options.x_tol * inf_norm(&x).max(1.0);
+                core::mem::swap(&mut x, &mut trial);
+                core::mem::swap(&mut residual, &mut trial_res);
+                core::mem::swap(&mut jacobian, &mut trial_jac);
+                let step_small = lambda * inf_norm(&step) <= options.x_tol * inf_norm(&x).max(1.0);
                 rnorm = tnorm;
                 accepted = true;
                 if step_small {
@@ -727,22 +735,6 @@ fn newton_system_impl(
             return Err(NumericError::NoConvergence {
                 iterations: iteration,
                 residual: rnorm,
-            });
-        }
-    }
-    // Budget exhausted while still improving. Accepting a residual
-    // looser than the caller's `f_tol` is opt-in only: callers like the
-    // RLC optimizer ask for it explicitly via `relaxed_f_tol` (the FD
-    // outer Jacobian limits achievable accuracy there); everyone else
-    // gets an honest `NoConvergence` rather than a silently loosened
-    // tolerance.
-    if let Some(relaxed) = options.relaxed_f_tol {
-        if rnorm <= options.f_tol.max(relaxed) {
-            counter!("roots.newton_system.relaxed_accepts").incr();
-            return Ok(SystemRoot {
-                x,
-                residual: rnorm,
-                iterations: options.max_iterations,
             });
         }
     }
@@ -809,7 +801,7 @@ mod tests {
         // An equation like the paper's Eq. (3): exponential crossing.
         let f = |t: f64| 0.5 - (-t).exp();
         let df = |t: f64| (-t).exp();
-        let root = newton_bracketed(f, df, 0.0, 10.0, RootOptions::default()).unwrap();
+        let root = newton_bracketed(f, df, 0.0, 10.0, None, RootOptions::default()).unwrap();
         assert!((root.x - std::f64::consts::LN_2).abs() < 1e-12);
         assert!(root.iterations <= 8);
     }
@@ -822,7 +814,7 @@ mod tests {
         // declare this a converged `Root` with |residual| = 1 ≫ f_tol;
         // it must instead run to an honest NoConvergence.
         let jump = |x: f64| if x < 0.5 { -1.0 } else { 1.0 };
-        let result = newton_bracketed(jump, |_| 0.0, 0.0, 1.0, RootOptions::default());
+        let result = newton_bracketed(jump, |_| 0.0, 0.0, 1.0, None, RootOptions::default());
         match result {
             Err(NumericError::NoConvergence { residual, .. }) => {
                 assert!((residual - 1.0).abs() < 1e-12, "residual {residual}")
@@ -842,6 +834,7 @@ mod tests {
                 move |_| steepness,
                 0.0,
                 1.0,
+                None,
                 options,
             )
             .unwrap();
@@ -856,19 +849,24 @@ mod tests {
     #[test]
     fn newton_bracketed_survives_bad_derivative() {
         // Derivative lies wildly; bisection fallback must still converge.
-        let root =
-            newton_bracketed(|x| x - 3.0, |_| 1e-30, 0.0, 10.0, RootOptions::default()).unwrap();
+        let root = newton_bracketed(
+            |x| x - 3.0,
+            |_| 1e-30,
+            0.0,
+            10.0,
+            None,
+            RootOptions::default(),
+        )
+        .unwrap();
         assert!((root.x - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn system_newton_on_rosenbrock_gradient() {
         // Roots of the gradient of Rosenbrock's function: (1, 1).
-        let f = |x: &[f64], out: &mut [f64]| {
+        let f = |x: &[f64], out: &mut [f64], m: &mut crate::dense::Matrix| {
             out[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
             out[1] = 200.0 * (x[1] - x[0] * x[0]);
-        };
-        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
             m[(0, 0)] = 2.0 - 400.0 * (x[1] - 3.0 * x[0] * x[0]);
             m[(0, 1)] = -400.0 * x[0];
             m[(1, 0)] = -400.0 * x[0];
@@ -876,7 +874,6 @@ mod tests {
         };
         let sol = newton_system(
             f,
-            jac,
             &[-0.5, 0.5],
             RootOptions {
                 max_iterations: 200,
@@ -888,30 +885,23 @@ mod tests {
         assert!((sol.x[1] - 1.0).abs() < 1e-8);
     }
 
-    /// A deliberately slow 1-D solve: Newton on `x³` contracts by 2/3
-    /// per step, so a budget of 30 from `x₀ = 1` lands the residual
-    /// near 1.4e-16 — far above an `f_tol` of 1e-40, but inside the old
-    /// hard-wired 1e-9 acceptance window.
-    fn run_slow_cubic(options: RootOptions) -> Result<SystemRoot> {
-        let f = |x: &[f64], out: &mut [f64]| out[0] = x[0] * x[0] * x[0];
-        let jac = |x: &[f64], m: &mut crate::dense::Matrix| {
-            m[(0, 0)] = 3.0 * x[0] * x[0];
-        };
-        newton_system(f, jac, &[1.0], options)
-    }
-
     #[test]
     fn system_newton_keeps_caller_f_tol_strict_on_budget_exhaustion() {
         // Regression: on budget exhaustion the solver used to accept
         // `rnorm <= f_tol.max(1e-9)`, silently overriding a stricter
-        // caller-requested f_tol. Strict is now the default.
+        // caller-requested f_tol. Newton on `x³` contracts by 2/3 per
+        // step, so a budget of 30 from `x₀ = 1` lands the residual near
+        // 1.4e-16: far above an `f_tol` of 1e-40.
+        let f = |x: &[f64], out: &mut [f64], m: &mut crate::dense::Matrix| {
+            out[0] = x[0] * x[0] * x[0];
+            m[(0, 0)] = 3.0 * x[0] * x[0];
+        };
         let strict = RootOptions {
             f_tol: 1e-40,
             x_tol: 1e-30,
             max_iterations: 30,
-            relaxed_f_tol: None,
         };
-        match run_slow_cubic(strict) {
+        match newton_system(f, &[1.0], strict) {
             Err(NumericError::NoConvergence { residual, .. }) => {
                 assert!(residual > 1e-40 && residual < 1e-9, "residual {residual:e}")
             }
@@ -920,18 +910,20 @@ mod tests {
     }
 
     #[test]
-    fn system_newton_relaxed_acceptance_is_opt_in() {
-        // The same starved solve succeeds when the caller explicitly
-        // opts into the looser acceptance (as the RLC optimizer does).
-        let relaxed = RootOptions {
-            f_tol: 1e-40,
-            x_tol: 1e-30,
-            max_iterations: 30,
-            relaxed_f_tol: Some(1e-9),
+    fn system_newton_returns_the_last_evaluated_point() {
+        // Callers reuse by-products of the last evaluation (the RLC
+        // optimizer keeps its delay), so a converged `x` must be the
+        // argument of the final call — also when the line search
+        // backtracked on the way.
+        let mut last = Vec::new();
+        let f = |x: &[f64], out: &mut [f64], m: &mut crate::dense::Matrix| {
+            last = x.to_vec();
+            out[0] = x[0].atan();
+            m[(0, 0)] = 1.0 / (1.0 + x[0] * x[0]);
         };
-        let sol = run_slow_cubic(relaxed).expect("relaxed acceptance");
-        assert!(sol.residual < 1e-9, "residual {:e}", sol.residual);
-        assert_eq!(sol.iterations, 30);
+        let sol = newton_system(f, &[3.0], RootOptions::default()).unwrap();
+        assert!(sol.x[0].abs() < 1e-12);
+        assert_eq!(sol.x, last);
     }
 
     #[test]
@@ -948,17 +940,15 @@ mod tests {
 
     #[test]
     fn system_newton_linear_system_in_one_step() {
-        let f = |x: &[f64], out: &mut [f64]| {
+        let f = |x: &[f64], out: &mut [f64], m: &mut crate::dense::Matrix| {
             out[0] = 2.0 * x[0] + x[1] - 3.0;
             out[1] = x[0] + 3.0 * x[1] - 5.0;
-        };
-        let jac = |_: &[f64], m: &mut crate::dense::Matrix| {
             m[(0, 0)] = 2.0;
             m[(0, 1)] = 1.0;
             m[(1, 0)] = 1.0;
             m[(1, 1)] = 3.0;
         };
-        let sol = newton_system(f, jac, &[0.0, 0.0], RootOptions::default()).unwrap();
+        let sol = newton_system(f, &[0.0, 0.0], RootOptions::default()).unwrap();
         assert!(sol.iterations <= 2);
         assert!((sol.x[0] - 0.8).abs() < 1e-12);
         assert!((sol.x[1] - 1.4).abs() < 1e-12);

@@ -14,7 +14,7 @@
 //!
 //! Line 1 is a header carrying a format fingerprint over
 //! `(version, QUANT_BITS, key width)`; a snapshot written under a
-//! different quantization or key layout reports
+//! different quantization, key layout or solver version reports
 //! [`LoadOutcome::Incompatible`] and is ignored (the daemon then falls
 //! back to a cold warm-up — never to silently wrong cache hits). Every
 //! further line is one entry: 15 space-separated 16-digit hex words
@@ -30,8 +30,15 @@ use rlckit::optimizer::RlcOptimum;
 use rlckit_tline::Damping;
 use rlckit_units::{HenriesPerMeter, Meters, Seconds};
 
-/// Version of the snapshot layout described in the module docs.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Version of the snapshot layout described in the module docs, and of
+/// the solver that produced its optima.
+///
+/// Bump it when the layout changes **and** when solver output bits
+/// change: a reloaded entry must be what a cold solve returns now
+/// (served = cold solve), so optima persisted by an older solver have
+/// to load as [`LoadOutcome::Incompatible`]. Version 2: the optimizer's
+/// exact outer Jacobian moved the optimum bits.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Number of hex words on one entry line (7 key + 8 value).
 const ENTRY_WORDS: usize = 15;
@@ -257,6 +264,29 @@ mod tests {
         assert_eq!(load(&stale, &memo).unwrap(), LoadOutcome::Incompatible);
         assert!(memo.is_empty());
         std::fs::remove_file(&stale).ok();
+    }
+
+    #[test]
+    fn a_version_1_snapshot_is_incompatible() {
+        // Version-1 optima came from the finite-difference outer
+        // Jacobian; no cold solve reproduces their bits any more, so a
+        // daemon must not serve them. Entry lines are well-formed: only
+        // the header's version (and with it the fingerprint) is old.
+        let source = solved_memo(2);
+        let path = temp_path("version-1.snap");
+        save(&path, &source).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (_, entries) = text.split_once('\n').unwrap();
+        let header = format!(
+            "rlckit-serve-snapshot version=1 quant_bits={QUANT_BITS} fingerprint={:016x}",
+            fingerprint64([1, u64::from(QUANT_BITS), 7])
+        );
+        std::fs::write(&path, format!("{header}\n{entries}")).unwrap();
+
+        let memo = OptimumMemo::default();
+        assert_eq!(load(&path, &memo).unwrap(), LoadOutcome::Incompatible);
+        assert!(memo.is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

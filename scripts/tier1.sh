@@ -62,13 +62,6 @@ for bin in fig04_lcrit fig05_hopt_ratio fig06_kopt_ratio fig07_delay_ratio fig08
     echo "tier-1 gate: FAIL — $bin CSV drifted under fault injection" >&2
     exit 1
   fi
-  # Cache liveness: every Fig. 4–8 campaign must take optimizer residual
-  # cache hits (the pre-flight warm guarantees ≥ 1 per solve); a silent
-  # zero means the hot-path cache has been disconnected.
-  if ! grep -q 'optimizer\.cache\.hits' "$fault_log"; then
-    echo "tier-1 gate: FAIL — $bin recorded no optimizer cache hits" >&2
-    exit 1
-  fi
 done
 
 # Scheduler identity: campaign CSVs must be byte-identical across the
@@ -273,9 +266,8 @@ if ! cmp -s "$campaign_dir/solo.csv" "$campaign_dir/run.csv"; then
 fi
 
 # Perf guard on the committed bench baselines: the delay solver must
-# hold the paper's ≤4-iteration claim, and the optimizer's engineered
-# pre-flight cache hit must still land (exactly one hit per solve on
-# the clean path — zero means the cache was disconnected).
+# hold the paper's ≤4-iteration claim. (The cost of an optimum in delay
+# solves is measured fresh by crates/core/tests/delay_solve_budget.rs.)
 bench_metric() { # group name metric
   grep "\"name\":\"$2\"" "results/BENCH_$1.json" \
     | grep -o "\"$3\":[0-9.]*" | cut -d: -f2
@@ -283,11 +275,6 @@ bench_metric() { # group name metric
 iters="$(bench_metric delay_solver random_configs iterations_per_solve)"
 if ! awk -v x="${iters:-99}" 'BEGIN { exit !(x <= 4.1) }'; then
   echo "tier-1 gate: FAIL — delay solver iterations_per_solve regressed (${iters:-missing} > 4.1)" >&2
-  exit 1
-fi
-hits="$(bench_metric optimizer single_point_250nm cache_hits_per_solve)"
-if ! awk -v x="${hits:-0}" 'BEGIN { exit !(x >= 1.0) }'; then
-  echo "tier-1 gate: FAIL — optimizer cache hits per solve dropped to ${hits:-0} (< 1)" >&2
   exit 1
 fi
 # Serving guard (BENCH_serve): the committed hot-mix baseline must show
