@@ -15,16 +15,16 @@
 //! are kept, and their remaining points become explicit `failed` rows.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
-use rlckit::checkpoint::{fingerprint64, parse_header_line, parse_point_line, CHECKPOINT_VERSION};
+use rlckit::checkpoint::{
+    fingerprint64, parse_header_line, parse_point_line, split_lines, CHECKPOINT_VERSION,
+};
 use rlckit::sweeps::{decode_sweep_point, encode_sweep_point, SweepPoint};
 use rlckit::PointOutcome;
 
-use crate::grid::{shard_file_name, shard_fingerprint, shard_points, CampaignSpec};
+use crate::grid::{shard_file_name, shard_fingerprint, shard_of_point, shard_points, CampaignSpec};
 
 /// How a point's solve went, stripped of the value (mirrors the
 /// variants of [`PointOutcome`]).
@@ -268,6 +268,14 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// Which grid indices the split assigns to `shard` of `of`, as a mask
+/// over the whole grid.
+fn assigned_mask(spec: &CampaignSpec, campaign_fp: u64, shard: usize, of: usize) -> Vec<bool> {
+    (0..spec.points)
+        .map(|index| shard_of_point(campaign_fp, index, of) == shard)
+        .collect()
+}
+
 /// Reads one shard file strictly: every line must parse, every record
 /// must checksum, the point set must be exactly the shard's assigned
 /// slice. Returns the records keyed by grid index.
@@ -282,24 +290,15 @@ pub fn read_shard_strict(
     shard: usize,
     of: usize,
 ) -> Result<BTreeMap<usize, PointRecord>, MergeError> {
-    let expected = shard_fingerprint(spec.fingerprint(), shard, of);
+    let campaign_fp = spec.fingerprint();
+    let expected = shard_fingerprint(campaign_fp, shard, of);
     let path = dir.join(shard_file_name(shard, of));
-    let file = File::open(&path).map_err(|e| MergeError::Io {
+    let bytes = std::fs::read(&path).map_err(|e| MergeError::Io {
         shard,
         detail: format!("{}: {e}", path.display()),
     })?;
-    let mut lines = BufReader::new(file).lines();
-    let header = match lines.next() {
-        Some(Ok(line)) => line,
-        Some(Err(e)) => {
-            return Err(MergeError::Io {
-                shard,
-                detail: e.to_string(),
-            })
-        }
-        None => return Err(MergeError::MangledHeader { shard }),
-    };
-    match parse_header_line(&header) {
+    let mut lines = split_lines(&bytes);
+    match lines.next().and_then(parse_header_line) {
         Some((CHECKPOINT_VERSION, found)) if found == expected => {}
         Some((_, found)) => {
             return Err(MergeError::FingerprintMismatch {
@@ -311,23 +310,16 @@ pub fn read_shard_strict(
         None => return Err(MergeError::MangledHeader { shard }),
     }
 
-    let assigned: BTreeSet<usize> = shard_points(spec, shard, of)
-        .into_iter()
-        .map(|(i, _)| i)
-        .collect();
+    let assigned = assigned_mask(spec, campaign_fp, shard, of);
     let mut records = BTreeMap::new();
     for (n, line) in lines.enumerate() {
-        let line = line.map_err(|e| MergeError::Io {
-            shard,
-            detail: e.to_string(),
-        })?;
-        let Some((index, words)) = parse_point_line(&line) else {
+        let Some((index, words)) = parse_point_line(line) else {
             return Err(MergeError::MangledLine {
                 shard,
                 line: n + 2,
             });
         };
-        if !assigned.contains(&index) {
+        if !assigned.get(index).copied().unwrap_or(false) {
             return Err(MergeError::ForeignPoint { shard, index });
         }
         let Some(record) = decode_record(index, &words) else {
@@ -337,7 +329,7 @@ pub fn read_shard_strict(
             return Err(MergeError::DuplicatePoint { shard, index });
         }
     }
-    if let Some(&index) = assigned.iter().find(|i| !records.contains_key(i)) {
+    if let Some(index) = (0..assigned.len()).find(|&i| assigned[i] && !records.contains_key(&i)) {
         return Err(MergeError::MissingPoint { shard, index });
     }
     Ok(records)
@@ -354,24 +346,20 @@ pub fn read_shard_lenient(
     shard: usize,
     of: usize,
 ) -> BTreeMap<usize, PointRecord> {
-    let expected = shard_fingerprint(spec.fingerprint(), shard, of);
-    let path = dir.join(shard_file_name(shard, of));
-    let Ok(file) = File::open(&path) else {
+    let campaign_fp = spec.fingerprint();
+    let expected = shard_fingerprint(campaign_fp, shard, of);
+    let Ok(bytes) = std::fs::read(dir.join(shard_file_name(shard, of))) else {
         return BTreeMap::new();
     };
-    let mut lines = BufReader::new(file).lines();
-    match lines.next() {
-        Some(Ok(header)) if parse_header_line(&header) == Some((CHECKPOINT_VERSION, expected)) => {}
-        _ => return BTreeMap::new(),
+    let mut lines = split_lines(&bytes);
+    if lines.next().and_then(parse_header_line) != Some((CHECKPOINT_VERSION, expected)) {
+        return BTreeMap::new();
     }
-    let assigned: BTreeSet<usize> = shard_points(spec, shard, of)
-        .into_iter()
-        .map(|(i, _)| i)
-        .collect();
+    let assigned = assigned_mask(spec, campaign_fp, shard, of);
     let mut records = BTreeMap::new();
-    for line in lines.map_while(Result::ok) {
-        if let Some((index, words)) = parse_point_line(&line) {
-            if assigned.contains(&index) {
+    for line in lines {
+        if let Some((index, words)) = parse_point_line(line) {
+            if assigned.get(index).copied().unwrap_or(false) {
                 if let Some(record) = decode_record(index, &words) {
                     records.insert(index, record);
                 }
@@ -412,19 +400,16 @@ pub fn merge_shards(
     let mut unreached = 0usize;
     for shard in 0..of {
         if degraded.contains(&shard) {
-            let partial = read_shard_lenient(spec, dir, shard, of);
+            let mut partial = read_shard_lenient(spec, dir, shard, of);
             for (index, _) in shard_points(spec, shard, of) {
-                let record = partial
-                    .get(&index)
-                    .cloned()
-                    .unwrap_or_else(PointRecord::failed_unreached);
-                if record.point.is_none() && !partial.contains_key(&index) {
+                let record = partial.remove(&index).unwrap_or_else(|| {
                     unreached += 1;
-                }
+                    PointRecord::failed_unreached()
+                });
                 records.insert(index, record);
             }
         } else {
-            records.extend(read_shard_strict(spec, dir, shard, of)?);
+            records.append(&mut read_shard_strict(spec, dir, shard, of)?);
         }
     }
     Ok(MergedCampaign { records, unreached })
@@ -438,26 +423,30 @@ pub fn merge_shards(
 /// property tests compare.
 #[must_use]
 pub fn render_csv(spec: &CampaignSpec, merged: &MergedCampaign) -> String {
+    const HEADER: &str = "index,l_nh_per_mm,h_opt_m,k_opt,delay_s_per_m,h_ratio,k_ratio,\
+                          l_crit_h_per_m,damping,rc_design_delay_s_per_m,outcome,attempts\n";
+    // A solved row is about 205 bytes; reserve enough that the string
+    // never reallocates.
+    const ROW_BYTES: usize = 224;
     let grid = spec.grid();
-    let mut out = String::from(
-        "index,l_nh_per_mm,h_opt_m,k_opt,delay_s_per_m,h_ratio,k_ratio,l_crit_h_per_m,\
-         damping,rc_design_delay_s_per_m,outcome,attempts\n",
-    );
+    let mut out = String::with_capacity(HEADER.len() + ROW_BYTES * grid.len());
+    out.push_str(HEADER);
     for (index, l) in grid.iter().enumerate() {
         let record = merged
             .records
             .get(&index)
             .expect("merge produces a complete grid");
         let l_label = l.to_nano_per_milli();
-        match &record.point {
+        let written = match &record.point {
             Some(p) => {
                 let damping = match p.damping {
                     rlckit_tline::Damping::Overdamped => "overdamped",
                     rlckit_tline::Damping::CriticallyDamped => "critical",
                     rlckit_tline::Damping::Underdamped => "underdamped",
                 };
-                out.push_str(&format!(
-                    "{index},{l_label},{},{},{},{},{},{},{damping},{},{},{}\n",
+                writeln!(
+                    out,
+                    "{index},{l_label},{},{},{},{},{},{},{damping},{},{},{}",
                     p.h_opt,
                     p.k_opt,
                     p.delay_per_length,
@@ -467,14 +456,16 @@ pub fn render_csv(spec: &CampaignSpec, merged: &MergedCampaign) -> String {
                     p.rc_design_delay_per_length,
                     record.tag.label(),
                     record.attempts,
-                ));
+                )
             }
-            None => out.push_str(&format!(
-                "{index},{l_label},,,,,,,,,{},{}\n",
+            None => writeln!(
+                out,
+                "{index},{l_label},,,,,,,,,{},{}",
                 record.tag.label(),
                 record.attempts,
-            )),
-        }
+            ),
+        };
+        written.expect("writing to a String cannot fail");
     }
     out
 }
@@ -495,6 +486,57 @@ mod tests {
             damping: rlckit_tline::Damping::Overdamped,
             rc_design_delay_per_length: 1.9e-5,
         }
+    }
+
+    /// A solo shard of `points` points with one byte of point 1's line
+    /// replaced by a byte that is not valid UTF-8.
+    fn shard_with_non_utf8_line(name: &str, points: usize) -> (CampaignSpec, std::path::PathBuf) {
+        let spec = CampaignSpec {
+            node: crate::grid::CampaignNode::Nm100,
+            points,
+        };
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("rlckit-merge-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        crate::shard::run_shard(&spec, 0, 1, &dir, 0).unwrap();
+        let path = dir.join(shard_file_name(0, 1));
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Lines are header, point 0, point 1, …: smudge inside line 3.
+        let line_3 = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .nth(1)
+            .unwrap()
+            .0
+            + 1;
+        bytes[line_3 + 40] = 0xff;
+        std::fs::write(&path, bytes).unwrap();
+        (spec, dir)
+    }
+
+    #[test]
+    fn strict_read_refuses_a_non_utf8_line_as_mangled() {
+        let (spec, dir) = shard_with_non_utf8_line("strict-non-utf8", 4);
+        assert_eq!(
+            read_shard_strict(&spec, &dir, 0, 1),
+            Err(MergeError::MangledLine { shard: 0, line: 3 })
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The lenient reader drops a line that is not valid UTF-8 on its
+    /// own and keeps every later record; a line-iterator reader used to
+    /// stop there and turn the rest of the shard into unreached rows.
+    #[test]
+    fn lenient_read_skips_a_non_utf8_line_and_keeps_reading() {
+        let (spec, dir) = shard_with_non_utf8_line("lenient-non-utf8", 4);
+        let records = read_shard_lenient(&spec, &dir, 0, 1);
+        assert_eq!(records.keys().copied().collect::<Vec<_>>(), [0, 2, 3]);
+        let merged = merge_shards(&spec, &dir, 1, &BTreeSet::from([0])).unwrap();
+        assert_eq!(merged.unreached, 1);
+        assert_eq!(merged.records[&1], PointRecord::failed_unreached());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

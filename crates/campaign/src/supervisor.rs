@@ -11,7 +11,7 @@
 //! * **Crashes are relaunched with backoff.** Each death schedules a
 //!   relaunch at `backoff_base × 2^(relaunches−1)` (capped), tracked
 //!   per shard as a deadline so one shard's backoff never blocks
-//!   polling the others. The relaunch generation is passed to the
+//!   watching the others. The relaunch generation is passed to the
 //!   child, which keys the `RLCKIT_SHARD_FAULTS` schedule on it — so
 //!   an injected crash loop converges instead of re-killing the same
 //!   point forever.
@@ -20,6 +20,14 @@
 //!   merged leniently and its unreached points become explicit
 //!   `failed` rows, so the campaign always terminates with a complete
 //!   (if honest about its holes) CSV.
+//! * **Exits wake the supervisor.** Each child's stdout is a pipe that
+//!   a reader thread drains to EOF — which comes exactly when the child
+//!   exits, aborts or is killed — and then reports the shard on a
+//!   channel. The supervisor blocks on that channel, so a finished
+//!   shard is reaped (and a crashed one scheduled for relaunch) the
+//!   moment it goes; `poll_interval` only paces the stall and backoff
+//!   checks while nothing exits, and the wait also ends at the next
+//!   relaunch deadline.
 //!
 //! Every lifecycle step lands in the flight recorder:
 //! `campaign.shard.{launched,relaunched,stalled,completed,degraded}`
@@ -29,6 +37,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rlckit_trace::events::EventKind;
@@ -51,7 +61,8 @@ pub struct SupervisorConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Supervisor poll cadence.
+    /// Cadence of the stall and backoff checks while no shard exits
+    /// (an exit wakes the supervisor at once).
     pub poll_interval: Duration,
 }
 
@@ -130,6 +141,9 @@ struct Slot {
     shard: usize,
     checkpoint: PathBuf,
     child: Option<Child>,
+    /// The current child's stdout reached EOF: it has exited (or is
+    /// exiting), so waiting on it cannot block for long.
+    exited: bool,
     relaunches: u32,
     restart_at: Option<Instant>,
     last_len: u64,
@@ -144,6 +158,62 @@ impl Slot {
     }
 }
 
+/// Exit notices from the children's stdout pipes: each spawned child
+/// gets a reader thread that drains its stdout to EOF — which comes
+/// when the child exits, aborts or is killed — and then posts
+/// `(shard, generation)`.
+struct ExitWatch {
+    tx: Sender<(usize, u32)>,
+    rx: Receiver<(usize, u32)>,
+    readers: Vec<JoinHandle<()>>,
+}
+
+impl ExitWatch {
+    fn new() -> Self {
+        let (tx, rx) = channel();
+        Self {
+            tx,
+            rx,
+            readers: Vec::new(),
+        }
+    }
+
+    fn watch(&mut self, child: &mut Child, shard: usize, generation: u32) {
+        if let Some(mut stdout) = child.stdout.take() {
+            let tx = self.tx.clone();
+            self.readers.push(std::thread::spawn(move || {
+                let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+                let _ = tx.send((shard, generation));
+            }));
+        }
+    }
+
+    /// Blocks until a child's stdout closes or `timeout` passes, then
+    /// marks every exit posted so far on its slot. A notice from an
+    /// earlier generation (a child the stall or error path already
+    /// reaped) is ignored.
+    fn wait(&self, timeout: Duration, slots: &mut [Slot]) {
+        let Ok(first) = self.rx.recv_timeout(timeout) else {
+            return;
+        };
+        for (shard, generation) in std::iter::once(first).chain(self.rx.try_iter()) {
+            let slot = &mut slots[shard];
+            if slot.child.is_some() && slot.relaunches == generation {
+                slot.exited = true;
+            }
+        }
+    }
+
+    /// Joins the reader threads once every child has been reaped, so
+    /// each has seen its EOF. A reader that panicked only cost its
+    /// shard the early wake-up: the poll cadence still reaped it.
+    fn join(self) {
+        for reader in self.readers {
+            let _ = reader.join();
+        }
+    }
+}
+
 fn spawn_shard(
     exe: &Path,
     spec: &CampaignSpec,
@@ -151,8 +221,9 @@ fn spawn_shard(
     shard: usize,
     of: usize,
     generation: u32,
+    exits: &mut ExitWatch,
 ) -> Result<Child, SuperviseError> {
-    Command::new(exe)
+    let mut child = Command::new(exe)
         .arg("shard")
         .args(["--node", spec.node.name()])
         .args(["--points", &spec.points.to_string()])
@@ -162,10 +233,12 @@ fn spawn_shard(
         .arg("--dir")
         .arg(dir)
         .stdin(Stdio::null())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
-        .map_err(|e| SuperviseError::Spawn(format!("{}: {e}", exe.display())))
+        .map_err(|e| SuperviseError::Spawn(format!("{}: {e}", exe.display())))?;
+    exits.watch(&mut child, shard, generation);
+    Ok(child)
 }
 
 /// Supervises `cfg.shards` child processes of `exe` (the
@@ -186,11 +259,13 @@ pub fn supervise(
     std::fs::create_dir_all(dir)
         .map_err(|e| SuperviseError::Spawn(format!("campaign dir {}: {e}", dir.display())))?;
     let of = cfg.shards;
+    let mut exits = ExitWatch::new();
     let mut slots: Vec<Slot> = (0..of)
         .map(|shard| Slot {
             shard,
             checkpoint: dir.join(shard_file_name(shard, of)),
             child: None,
+            exited: false,
             relaunches: 0,
             restart_at: None,
             last_len: 0,
@@ -201,7 +276,7 @@ pub fn supervise(
         .collect();
 
     for slot in &mut slots {
-        let child = spawn_shard(exe, spec, dir, slot.shard, of, 0)?;
+        let child = spawn_shard(exe, spec, dir, slot.shard, of, 0, &mut exits)?;
         counter!("campaign.shard.launched").incr();
         event!(slot.shard as u64, "campaign.shard.launched", EventKind::Outcome, 0);
         slot.child = Some(child);
@@ -215,7 +290,7 @@ pub fn supervise(
             }
             let generation = slot.relaunches;
             match &mut slot.child {
-                Some(child) => match child.try_wait() {
+                Some(child) => match reap(child, slot.exited) {
                     Ok(Some(status)) => {
                         slot.child = None;
                         if status.success() {
@@ -266,7 +341,8 @@ pub fn supervise(
                 None => {
                     if slot.restart_at.is_some_and(|at| Instant::now() >= at) {
                         slot.restart_at = None;
-                        match spawn_shard(exe, spec, dir, slot.shard, of, slot.relaunches) {
+                        match spawn_shard(exe, spec, dir, slot.shard, of, slot.relaunches, &mut exits)
+                        {
                             Ok(child) => {
                                 counter!("campaign.shard.relaunched").incr();
                                 event!(
@@ -276,6 +352,7 @@ pub fn supervise(
                                     u64::from(slot.relaunches)
                                 );
                                 slot.child = Some(child);
+                                slot.exited = false;
                                 slot.last_progress = Instant::now();
                             }
                             Err(_) => on_death(slot, cfg),
@@ -285,9 +362,18 @@ pub fn supervise(
             }
         }
         if slots.iter().any(|s| !s.finished()) {
-            std::thread::sleep(cfg.poll_interval);
+            // Sleep until a child exits, the next relaunch is due, or
+            // the stall-check cadence comes round, whichever is first.
+            let now = Instant::now();
+            let timeout = slots
+                .iter()
+                .filter_map(|s| s.restart_at)
+                .map(|at| at.saturating_duration_since(now))
+                .fold(cfg.poll_interval, Duration::min);
+            exits.wait(timeout, &mut slots);
         }
     }
+    exits.join();
 
     let degraded: BTreeSet<usize> = slots
         .iter()
@@ -307,6 +393,17 @@ pub fn supervise(
             })
             .collect(),
     })
+}
+
+/// The child's exit status if it has exited. Once its stdout has closed
+/// the child is exiting, so this waits for it rather than racing the
+/// last instants of its exit.
+fn reap(child: &mut Child, exited: bool) -> std::io::Result<Option<std::process::ExitStatus>> {
+    if exited {
+        child.wait().map(Some)
+    } else {
+        child.try_wait()
+    }
 }
 
 fn on_death(slot: &mut Slot, cfg: &SupervisorConfig) {

@@ -13,10 +13,20 @@
 //! discards (that point is simply recomputed). [`CheckpointFile::open`]
 //! always rewrites the file from its parsed contents, so the on-disk
 //! state is well-formed again after every open.
+//!
+//! The codec is canonical: the writer emits exactly one byte image per
+//! line, and [`parse_header_line`] / [`parse_point_line`] accept exactly
+//! that image and nothing else — fixed field order, a decimal integer
+//! without leading zeros, every word as `"0x"` plus 16 lowercase hex
+//! digits, no whitespace, nothing after the closing `}`. A torn,
+//! spliced or smudged line can therefore only parse if it reproduces a
+//! line the writer could have written. Each point costs one `write` of
+//! its rendered line, so file growth stays a per-point heartbeat and a
+//! kill loses at most the in-flight point.
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -52,141 +62,169 @@ fn io_err(op: &str, e: &std::io::Error) -> NumericError {
     NumericError::InvalidInput(format!("checkpoint {op}: {e}"))
 }
 
-/// Splits one JSON object line into its top-level `key: value` pairs.
-///
-/// Tracks string state (including `\` escapes) and container depth, so
-/// a field-shaped substring inside a string value or a nested container
-/// can never be mistaken for a real field. This replaces the original
-/// raw-substring matching (`line.find("\"index\":")`), which resumed
-/// spliced torn writes as valid points — adopting one point's index
-/// with another point's words. Returns `None` for anything that is not
-/// a single well-formed `{...}` object of string-keyed fields.
-fn top_level_fields(line: &str) -> Option<Vec<(&str, &str)>> {
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
-    let bytes = body.as_bytes();
-    let mut fields = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut item_start = 0usize;
-    let mut colon: Option<usize> = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth = depth.checked_sub(1)?,
-            b':' if depth == 0 && colon.is_none() => colon = Some(i),
-            b',' if depth == 0 => {
-                fields.push(split_field(body, item_start, colon?, i)?);
-                item_start = i + 1;
-                colon = None;
-            }
-            _ => {}
-        }
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// The inverse of [`HEX`]: each lowercase hex digit's value, `0xff` for
+/// every other byte. A table, not a branch per digit — random hex
+/// digits defeat the branch predictor.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX[i] as usize] = i as u8;
+        i += 1;
     }
-    if in_string || depth != 0 {
-        return None;
+    table
+};
+
+/// Appends `word` as `"0x` + 16 lowercase hex digits + `"`.
+fn push_word(out: &mut Vec<u8>, word: u64) {
+    let mut quoted = *b"\"0x0000000000000000\"";
+    for (i, digit) in quoted[3..19].iter_mut().enumerate() {
+        *digit = HEX[(word >> (60 - 4 * i)) as usize & 0xf];
     }
-    if item_start < bytes.len() || !fields.is_empty() || colon.is_some() {
-        fields.push(split_field(body, item_start, colon?, bytes.len())?);
-    }
-    Some(fields)
+    out.extend_from_slice(&quoted);
 }
 
-/// One `"key": value` item from [`top_level_fields`]; the key must be a
-/// plain quoted string (no escapes), the value is returned raw.
-fn split_field(body: &str, start: usize, colon: usize, end: usize) -> Option<(&str, &str)> {
-    let key = body[start..colon].trim();
-    let key = key.strip_prefix('"')?.strip_suffix('"')?;
-    if key.contains(['"', '\\']) {
-        return None;
-    }
-    Some((key, body[colon + 1..end].trim()))
+/// Appends the header line (newline included) that
+/// [`parse_header_line`] inverts.
+fn write_header(out: &mut Vec<u8>, version: u32, fingerprint: u64) {
+    write!(out, "{{\"type\":\"header\",\"version\":{version},\"fingerprint\":")
+        .expect("writing to a Vec cannot fail");
+    push_word(out, fingerprint);
+    out.extend_from_slice(b"}\n");
 }
 
-/// Parses a header line; returns `(version, fingerprint)`. Strict: the
-/// line must carry exactly the `type`/`version`/`fingerprint` fields,
-/// each once — unknown or duplicated fields reject the whole line.
+/// Appends one point line (newline included) that [`parse_point_line`]
+/// inverts.
+fn write_point(out: &mut Vec<u8>, index: usize, words: &[u64]) {
+    write!(out, "{{\"type\":\"point\",\"index\":{index},\"words\":[")
+        .expect("writing to a Vec cannot fail");
+    for (i, &word) in words.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_word(out, word);
+    }
+    out.extend_from_slice(b"]}\n");
+}
+
+/// A read position inside one line; every step either consumes exactly
+/// the canonical bytes it expects or fails.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn literal(&mut self, expected: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(expected)?;
+        Some(())
+    }
+
+    /// A decimal integer: `0`, or a nonzero digit followed by digits.
+    fn decimal(&mut self) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if digits.is_empty() || (digits.len() > 1 && digits[0] == b'0') {
+            return None;
+        }
+        let mut n: u64 = 0;
+        for &d in digits {
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+        }
+        self.0 = rest;
+        Some(n)
+    }
+
+    /// A quoted word: `"0x` + exactly 16 lowercase hex digits + `"`.
+    fn word(&mut self) -> Option<u64> {
+        let (quoted, rest) = self.0.split_first_chunk::<20>()?;
+        if !quoted.starts_with(b"\"0x") || quoted[19] != b'"' {
+            return None;
+        }
+        let mut word = 0u64;
+        let mut invalid = 0u8;
+        for &d in &quoted[3..19] {
+            let nibble = NIBBLE[usize::from(d)];
+            invalid |= nibble;
+            word = word << 4 | u64::from(nibble & 0xf);
+        }
+        if invalid & 0xf0 != 0 {
+            return None;
+        }
+        self.0 = rest;
+        Some(word)
+    }
+
+    fn end(&self) -> Option<()> {
+        self.0.is_empty().then_some(())
+    }
+}
+
+/// The `\n`-separated lines of a checkpoint file's bytes, without their
+/// newlines. A final line without a newline (a torn write) is yielded;
+/// the empty tail after a final newline is not.
+pub fn split_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    bytes
+        .strip_suffix(b"\n")
+        .unwrap_or(bytes)
+        .split(|&b| b == b'\n')
+}
+
+/// Parses a header line (without its newline); returns `(version,
+/// fingerprint)`. Accepts exactly the bytes the writer emits for some
+/// version — any other version still parses, so a reader can tell a
+/// stale file from a mangled one.
 ///
 /// Public for consumers that read checkpoint-format files *strictly*
 /// (the `rlckit-campaign` merge refuses a shard file whose lines this
 /// parser rejects, instead of silently dropping them the way resume
 /// does).
 #[must_use]
-pub fn parse_header_line(line: &str) -> Option<(u32, u64)> {
-    let mut ty = None;
-    let mut version = None;
-    let mut fingerprint = None;
-    for (key, value) in top_level_fields(line.trim())? {
-        let slot = match key {
-            "type" => &mut ty,
-            "version" => &mut version,
-            "fingerprint" => &mut fingerprint,
-            _ => return None,
-        };
-        if slot.replace(value).is_some() {
-            return None;
-        }
-    }
-    if ty? != "\"header\"" {
-        return None;
-    }
-    let version: u32 = version?.parse().ok()?;
-    let hex = fingerprint?.strip_prefix("\"0x")?.strip_suffix('"')?;
-    Some((version, u64::from_str_radix(hex, 16).ok()?))
+pub fn parse_header_line<L: AsRef<[u8]> + ?Sized>(line: &L) -> Option<(u32, u64)> {
+    let mut c = Cursor(line.as_ref());
+    c.literal(b"{\"type\":\"header\",\"version\":")?;
+    let version = u32::try_from(c.decimal()?).ok()?;
+    c.literal(b",\"fingerprint\":")?;
+    let fingerprint = c.word()?;
+    c.literal(b"}")?;
+    c.end()?;
+    Some((version, fingerprint))
 }
 
-/// Parses a point line; returns `(index, words)`. Any malformed or
-/// truncated line — e.g. a torn final write — yields `None`. Strict in
-/// the same way as [`parse_header_line`]: exactly the
-/// `type`/`index`/`words` fields, each once.
+/// Parses a point line (without its newline); returns `(index, words)`.
+/// Accepts exactly the bytes the writer emits; any other line — a torn
+/// final write, a splice, a smudged byte — yields `None`.
 ///
 /// Public for the same strict readers as [`parse_header_line`].
 #[must_use]
-pub fn parse_point_line(line: &str) -> Option<(usize, Vec<u64>)> {
-    let mut ty = None;
-    let mut index = None;
-    let mut words = None;
-    for (key, value) in top_level_fields(line.trim())? {
-        let slot = match key {
-            "type" => &mut ty,
-            "index" => &mut index,
-            "words" => &mut words,
-            _ => return None,
-        };
-        if slot.replace(value).is_some() {
-            return None;
+pub fn parse_point_line<L: AsRef<[u8]> + ?Sized>(line: &L) -> Option<(usize, Vec<u64>)> {
+    let mut c = Cursor(line.as_ref());
+    c.literal(b"{\"type\":\"point\",\"index\":")?;
+    let index = usize::try_from(c.decimal()?).ok()?;
+    c.literal(b",\"words\":[")?;
+    let mut words = Vec::with_capacity(c.0.len() / 21);
+    if !c.0.starts_with(b"]") {
+        loop {
+            words.push(c.word()?);
+            if c.literal(b",").is_none() {
+                break;
+            }
         }
     }
-    if ty? != "\"point\"" {
-        return None;
-    }
-    let index: usize = index?.parse().ok()?;
-    let body = words?.strip_prefix('[')?.strip_suffix(']')?;
-    let mut out = Vec::new();
-    if !body.trim().is_empty() {
-        for token in body.split(',') {
-            let hex = token.trim().strip_prefix("\"0x")?.strip_suffix('"')?;
-            out.push(u64::from_str_radix(hex, 16).ok()?);
-        }
-    }
-    Some((index, out))
+    c.literal(b"]}")?;
+    c.end()?;
+    Some((index, words))
 }
 
 /// An open campaign checkpoint: an append handle plus the set of
 /// already-completed points parsed at open time.
 pub struct CheckpointFile {
-    writer: Mutex<BufWriter<File>>,
+    writer: Mutex<Writer>,
+}
+
+/// The append handle and the reused buffer each line is rendered into.
+struct Writer {
+    file: File,
+    line: Vec<u8>,
 }
 
 impl CheckpointFile {
@@ -206,39 +244,38 @@ impl CheckpointFile {
     /// (unwritable path, etc.).
     pub fn open(path: &Path, fingerprint: u64) -> Result<(Self, BTreeMap<usize, Vec<u64>>)> {
         let mut completed = BTreeMap::new();
-        if let Ok(file) = File::open(path) {
-            let mut lines = BufReader::new(file).lines();
-            if let Some(Ok(first)) = lines.next() {
-                if parse_header_line(&first) == Some((CHECKPOINT_VERSION, fingerprint)) {
-                    for line in lines.map_while(std::io::Result::ok) {
-                        if let Some((index, words)) = parse_point_line(&line) {
-                            completed.insert(index, words);
-                        }
+        if let Ok(bytes) = std::fs::read(path) {
+            let mut lines = split_lines(&bytes);
+            if lines.next().and_then(parse_header_line) == Some((CHECKPOINT_VERSION, fingerprint)) {
+                for line in lines {
+                    if let Some((index, words)) = parse_point_line(line) {
+                        completed.insert(index, words);
                     }
                 }
             }
         }
-        let file = File::create(path).map_err(|e| io_err("create", &e))?;
-        let mut writer = BufWriter::new(file);
-        writeln!(
-            writer,
-            "{{\"type\":\"header\",\"version\":{CHECKPOINT_VERSION},\"fingerprint\":\"{fingerprint:#018x}\"}}"
-        )
-        .map_err(|e| io_err("write header", &e))?;
+        let mut image = Vec::new();
+        write_header(&mut image, CHECKPOINT_VERSION, fingerprint);
         for (index, words) in &completed {
-            write_point(&mut writer, *index, words)?;
+            write_point(&mut image, *index, words);
         }
-        writer.flush().map_err(|e| io_err("flush", &e))?;
+        let mut file = File::create(path).map_err(|e| io_err("create", &e))?;
+        file.write_all(&image).map_err(|e| io_err("rewrite", &e))?;
+        file.flush().map_err(|e| io_err("flush", &e))?;
         Ok((
             Self {
-                writer: Mutex::new(writer),
+                writer: Mutex::new(Writer {
+                    file,
+                    line: Vec::new(),
+                }),
             },
             completed,
         ))
     }
 
-    /// Appends one completed point and flushes, so a kill immediately
-    /// after a point completes loses at most the in-flight line.
+    /// Appends one completed point with a single `write` of its
+    /// rendered line, so a kill immediately after a point completes
+    /// loses at most the in-flight line.
     ///
     /// # Errors
     ///
@@ -248,21 +285,13 @@ impl CheckpointFile {
             .writer
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        write_point(&mut writer, index, words)?;
-        writer.flush().map_err(|e| io_err("flush", &e))
+        let Writer { file, line } = &mut *writer;
+        line.clear();
+        write_point(line, index, words);
+        file.write_all(line)
+            .map_err(|e| io_err("write point", &e))?;
+        file.flush().map_err(|e| io_err("flush", &e))
     }
-}
-
-fn write_point(writer: &mut BufWriter<File>, index: usize, words: &[u64]) -> Result<()> {
-    let mut line = format!("{{\"type\":\"point\",\"index\":{index},\"words\":[");
-    for (i, word) in words.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&format!("\"{word:#018x}\""));
-    }
-    line.push_str("]}");
-    writeln!(writer, "{line}").map_err(|e| io_err("write point", &e))
 }
 
 #[cfg(test)]
@@ -476,6 +505,147 @@ mod tests {
                     );
                 }
             },
+        );
+    }
+
+    /// Resume must drop a line that is not valid UTF-8 on its own and
+    /// keep reading: a line-iterator reader used to stop at the first
+    /// such line, losing every later point and then rewriting the file
+    /// without them.
+    #[test]
+    fn non_utf8_line_does_not_end_resume() {
+        let path = temp_path("non-utf8");
+        let _ = std::fs::remove_file(&path);
+        let fp = fingerprint64([4, 2]);
+        let mut bytes = Vec::new();
+        write_header(&mut bytes, CHECKPOINT_VERSION, fp);
+        write_point(&mut bytes, 0, &[10]);
+        bytes.extend_from_slice(b"{\"type\":\"point\",\"index\":1,\"words\":[\xff\xfe]}\n");
+        write_point(&mut bytes, 2, &[12]);
+        std::fs::write(&path, &bytes).unwrap();
+        let (ck, done) = CheckpointFile::open(&path, fp).unwrap();
+        assert_eq!(done.keys().copied().collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(done[&2], vec![12]);
+        drop(ck);
+        let (_ck, reopened) = CheckpointFile::open(&path, fp).unwrap();
+        assert_eq!(done, reopened, "the rewrite must keep the later point");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn point_image(index: usize, words: &[u64]) -> String {
+        let mut out = Vec::new();
+        write_point(&mut out, index, words);
+        String::from_utf8(out).unwrap()
+    }
+
+    /// The writer's exact bytes, pinned as literals: the canonical image
+    /// the parsers invert and the files every earlier version wrote.
+    #[test]
+    fn writer_emits_the_golden_lines() {
+        let golden: [(usize, &[u64], &str); 5] = [
+            (0, &[], "{\"type\":\"point\",\"index\":0,\"words\":[]}\n"),
+            (
+                0,
+                &[0],
+                "{\"type\":\"point\",\"index\":0,\"words\":[\"0x0000000000000000\"]}\n",
+            ),
+            (
+                7,
+                &[1],
+                "{\"type\":\"point\",\"index\":7,\"words\":[\"0x0000000000000001\"]}\n",
+            ),
+            (
+                8_503,
+                &[u64::MAX, 0x3ff0_0000_0000_0000],
+                "{\"type\":\"point\",\"index\":8503,\"words\":\
+                 [\"0xffffffffffffffff\",\"0x3ff0000000000000\"]}\n",
+            ),
+            (
+                usize::MAX,
+                &[0x3ff0_0000_0000_0000, 1, 0],
+                "{\"type\":\"point\",\"index\":18446744073709551615,\"words\":\
+                 [\"0x3ff0000000000000\",\"0x0000000000000001\",\"0x0000000000000000\"]}\n",
+            ),
+        ];
+        for (index, words, expected) in golden {
+            let line = point_image(index, words);
+            assert_eq!(line, expected);
+            assert_eq!(
+                parse_point_line(expected.trim_end_matches('\n')),
+                Some((index, words.to_vec()))
+            );
+        }
+        let mut header = Vec::new();
+        write_header(&mut header, 2, 0x00ab_cdef_0123_4567);
+        assert_eq!(
+            header,
+            b"{\"type\":\"header\",\"version\":2,\"fingerprint\":\"0x00abcdef01234567\"}\n"
+        );
+        assert_eq!(
+            parse_header_line(&header[..header.len() - 1]),
+            Some((2, 0x00ab_cdef_0123_4567))
+        );
+    }
+
+    /// Near-misses of the canonical image that a lenient JSON reader
+    /// would accept; the parsers must refuse every one.
+    #[test]
+    fn parsers_reject_everything_but_the_canonical_image() {
+        let w = "\"0x0000000000000001\"";
+        for line in [
+            "{\"type\":\"point\",\"index\":1,\"words\":[\"0x000000000000000A\"]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[\"0X0000000000000001\"]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[\"0x000000000000001\"]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[\"0x00000000000000001\"]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[\"+0x000000000000001\"]}",
+            "{\"type\":\"point\",\"index\":+1,\"words\":[]}",
+            "{\"type\":\"point\",\"index\":01,\"words\":[]}",
+            "{\"type\":\"point\",\"index\":-1,\"words\":[]}",
+            "{\"type\":\"point\",\"index\":18446744073709551616,\"words\":[]}",
+            "{\"type\":\"point\", \"index\":1,\"words\":[]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[\"0x0000000000000001\", \"0x0000000000000001\"]}",
+            " {\"type\":\"point\",\"index\":1,\"words\":[]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[]} ",
+            "{\"type\":\"point\",\"index\":1,\"words\":[]}\r",
+            "{\"type\":\"point\",\"index\":1,\"words\":[]}x",
+            "{\"type\":\"point\",\"index\":1,\"words\":[]}}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[,]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[\"0x0000000000000001\",]}",
+            "{\"index\":1,\"type\":\"point\",\"words\":[]}",
+            "{\"type\":\"point\",\"words\":[],\"index\":1}",
+            "{\"type\":\"point\",\"index\":1,\"index\":1,\"words\":[]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[],\"words\":[]}",
+            "{\"type\":\"point\",\"index\":1,\"words\":[]",
+            "",
+        ] {
+            assert_eq!(parse_point_line(line), None, "accepted {line:?}");
+        }
+        assert_eq!(
+            parse_point_line(&format!(
+                "{{\"type\":\"point\",\"index\":1,\"words\":[{w},{w}]}}"
+            )),
+            Some((1, vec![1, 1]))
+        );
+        for line in [
+            "{\"type\":\"header\",\"version\":2,\"fingerprint\":\"0x00000000000000FF\"}",
+            "{\"type\":\"header\",\"version\":2,\"fingerprint\":\"0x0000000000000ff\"}",
+            "{\"type\":\"header\",\"version\":+2,\"fingerprint\":\"0x00000000000000ff\"}",
+            "{\"type\":\"header\",\"version\":02,\"fingerprint\":\"0x00000000000000ff\"}",
+            "{\"type\":\"header\",\"version\":4294967296,\"fingerprint\":\"0x00000000000000ff\"}",
+            "{\"type\":\"header\", \"version\":2,\"fingerprint\":\"0x00000000000000ff\"}",
+            "{\"type\":\"header\",\"version\":2,\"fingerprint\":\"0x00000000000000ff\"} ",
+            "{\"type\":\"header\",\"version\":2,\"fingerprint\":\"0x00000000000000ff\"}x",
+            "{\"type\":\"header\",\"fingerprint\":\"0x00000000000000ff\",\"version\":2}",
+            "{\"version\":2,\"type\":\"header\",\"fingerprint\":\"0x00000000000000ff\"}",
+            "{\"type\":\"header\",\"version\":2,\"version\":2,\"fingerprint\":\"0x00000000000000ff\"}",
+        ] {
+            assert_eq!(parse_header_line(line), None, "accepted {line:?}");
+        }
+        assert_eq!(
+            parse_header_line(
+                "{\"type\":\"header\",\"version\":4294967295,\"fingerprint\":\"0x00000000000000ff\"}"
+            ),
+            Some((u32::MAX, 255))
         );
     }
 

@@ -245,13 +245,15 @@ fi
 # clean run). The supervisor must take at least one relaunch, degrade
 # nothing, and the merged CSV must be byte-identical to the
 # single-process run of the same campaign. The summary sink prints only
-# nonzero counters, so a degraded grep match is a hard failure.
+# nonzero counters, so a degraded grep match is a hard failure. The
+# supervisor runs on its default poll interval, as users get it: shard
+# exits wake it, so only the relaunch backoff is shortened.
 cargo run --release --offline -q -p rlckit-campaign -- solo \
   --dir "$campaign_dir/solo" --out "$campaign_dir/solo.csv" 2>/dev/null
 RLCKIT_SHARD_FAULTS=7001:0.2 RLCKIT_TRACE=summary \
   cargo run --release --offline -q -p rlckit-campaign -- run --shards 3 \
   --dir "$campaign_dir/run" --out "$campaign_dir/run.csv" \
-  --backoff-ms 5 --poll-ms 5 2> "$campaign_dir/run.log"
+  --backoff-ms 5 2> "$campaign_dir/run.log"
 if ! grep -q 'campaign\.shard\.relaunched' "$campaign_dir/run.log"; then
   echo "tier-1 gate: FAIL — campaign smoke took no shard relaunches (shard faults disarmed?)" >&2
   exit 1
