@@ -2,14 +2,12 @@
 //! the "zero-cost-when-disabled" claim that justifies leaving counters
 //! in the hottest solver loops.
 //!
-//! Three rungs are measured against a bare arithmetic baseline:
+//! Two rungs are measured against a bare arithmetic baseline:
 //!
-//! * a counter increment / histogram observation (one relaxed
-//!   `fetch_add`; *not* gated on the enabled flag);
-//! * a span guard with tracing **disabled** (one relaxed load, no clock
-//!   read, no allocation);
-//! * a span guard with tracing **enabled** (two `Instant::now()` calls
-//!   plus four relaxed RMWs on drop);
+//! * a counter increment (a plain relaxed load and store on the
+//!   thread's own cell, no atomic read-modify-write) and a histogram
+//!   observation (four such cell updates: bucket, sum, min, max); both
+//!   record whether or not tracing is enabled;
 //! * a flight-recorder `event!` with tracing disabled (one relaxed
 //!   load — the tier-1 `trace_overhead` guard pins this budget) and
 //!   enabled (one clock read plus four relaxed ring stores).
@@ -18,8 +16,8 @@
 //! comparison into `results/BENCH_trace_overhead.json`. A real-world
 //! check rides along: the full delay solve is timed with tracing off
 //! and on, and the enabled/disabled ratio is recorded — it should be
-//! indistinguishable from 1 since the solver's counters are unguarded
-//! either way and a solve does no span work.
+//! indistinguishable from 1 since the solver's counters record either
+//! way and the delay solve emits no events.
 
 use std::hint::black_box;
 
@@ -28,7 +26,7 @@ use rlckit_bench::timer::Harness;
 use rlckit_tech::TechNode;
 use rlckit_tline::{LineRlc, TwoPole};
 use rlckit_trace::events::EventKind;
-use rlckit_trace::{counter, event, histogram, span};
+use rlckit_trace::{counter, event, histogram};
 use rlckit_units::{HenriesPerMeter, Meters};
 
 fn two_pole() -> TwoPole {
@@ -51,11 +49,6 @@ fn bench_primitives(h: &mut Harness) {
     h.bench("histogram_observe", || {
         histogram!("bench.overhead.histogram").observe(3);
     });
-
-    rlckit_trace::set_enabled(false);
-    h.bench("span_disabled", || black_box(span!("bench.overhead.span_off")));
-    rlckit_trace::set_enabled(true);
-    h.bench("span_enabled", || black_box(span!("bench.overhead.span_on")));
 
     // Flight-recorder rungs: disabled is the claim that matters (one
     // relaxed load — the tier-1 `trace_overhead` guard pins it);
@@ -89,8 +82,8 @@ fn bench_solver_with_tracing_toggled(h: &mut Harness) {
         black_box(tp.delay(black_box(0.5)).expect("delay"))
     });
     rlckit_trace::set_enabled(false);
-    // ~1.0x: the solver's counters are unguarded relaxed atomics in
-    // both states and the delay path starts no spans.
+    // ~1.0x: the solver's counters record in both states and the
+    // delay path emits no events.
     h.record_speedup(
         "delay_solve_trace_ratio",
         "delay_solve_trace_off",

@@ -30,7 +30,7 @@ use rlckit_numeric::rng::Rng;
 use rlckit_numeric::roots::{newton_system, RootOptions};
 use rlckit_numeric::{NumericError, Result};
 use rlckit_tech::DriverParams;
-use rlckit_trace::{counter, histogram, span};
+use rlckit_trace::{counter, histogram};
 use rlckit_tline::twopole::{Damping, TwoPole};
 use rlckit_tline::{DriverInterconnectLoad, LineRlc};
 use rlckit_units::{Farads, HenriesPerMeter, Meters, Ohms, Seconds};
@@ -455,7 +455,6 @@ pub fn optimize_rlc_with_retry(
         )));
     }
     counter!("optimizer.solves").incr();
-    let _span = span!("optimizer.solve");
     let rc = rc_optimum(
         &rlckit_tech::LineParams::new(line.resistance(), line.capacitance()),
         driver,

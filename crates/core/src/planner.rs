@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use rlckit_numeric::{NumericError, Result};
 use rlckit_par::{par_map_guided, Parallelism};
 use rlckit_tech::DriverParams;
-use rlckit_trace::{counter, span};
+use rlckit_trace::counter;
 use rlckit_tline::LineRlc;
 use rlckit_units::{Farads, Meters, Seconds};
 
@@ -125,7 +125,6 @@ fn optimal_size_for_length_cached(
     segment_length: Meters,
     threshold: f64,
 ) -> Result<f64> {
-    let _span = span!("planner.size_reopt");
     counter!("planner.size_reopts").incr();
     let objective = |ln_k: f64| {
         segment_delay_cached(cache, line, driver, segment_length, ln_k.exp(), threshold)
@@ -325,7 +324,6 @@ pub fn segment_count_tradeoff_outcomes(
     // in input order, so the outcome vector is bit-identical to serial
     // execution.
     par_map_guided(&counts, parallelism, |i, &n| {
-        let _span = span!("planner.point");
         counter!("planner.points").incr();
         let outcome = run_point(PLANNER_SCOPE_SALT | i as u64, policy, || {
             plan_for_count(line, driver, route_length, threshold, continuous_bound, n)

@@ -21,7 +21,7 @@ use std::path::Path;
 use rlckit_numeric::{NumericError, Result};
 use rlckit_par::{par_map_guided, Parallelism};
 use rlckit_tech::{DriverParams, LineParams, TechNode};
-use rlckit_trace::{counter, span};
+use rlckit_trace::counter;
 use rlckit_tline::twopole::Damping;
 use rlckit_tline::LineRlc;
 use rlckit_units::HenriesPerMeter;
@@ -159,7 +159,6 @@ pub fn sweep_point_outcome(
     options: OptimizerOptions,
     policy: &RetryPolicy,
 ) -> PointOutcome<SweepPoint> {
-    let _span = span!("sweep.point");
     counter!("sweeps.points").incr();
     let rlc_line = LineRlc::new(line.resistance, inductance, line.capacitance);
     let outcome = run_point(index as u64, policy, || {

@@ -5,9 +5,9 @@
 //! golden-section calls, a sharded campaign driver) needs to know where
 //! iterations and wall-clock actually go. This crate is that
 //! instrumentation layer: process-wide **counters** and **iteration
-//! histograms** recorded into per-thread cells, lightweight RAII **span
-//! timers**, and an opt-in end-of-run **sink** selected by the
-//! `RLCKIT_TRACE` environment variable.
+//! histograms** recorded into per-thread cells, the per-request
+//! [`events`] flight recorder, and an opt-in end-of-run **sink**
+//! selected by the `RLCKIT_TRACE` environment variable.
 //!
 //! # Cost model
 //!
@@ -26,11 +26,12 @@
 //!   destructor, under the same lock, so every recording is counted
 //!   exactly once, and a snapshot taken right after a scoped-thread
 //!   join is exact even if the destructors have not run yet.
-//! * Span timers *are* gated: when tracing is disabled
-//!   ([`enabled`] returns `false`) [`SpanTimer::start`] returns an
-//!   inert guard without reading the clock, so the disabled path costs
-//!   one relaxed load and allocates nothing. The `trace_overhead`
-//!   bench group quantifies both paths against a bare arithmetic op.
+//! * Counters and histograms record whether or not tracing is on; no
+//!   metric reads the clock. Only the flight recorder is gated: when
+//!   tracing is disabled ([`enabled`] returns `false`)
+//!   [`events::record`] returns after one relaxed load. The
+//!   `trace_overhead` bench group quantifies both paths against a bare
+//!   arithmetic op.
 //!
 //! # Determinism contract
 //!
@@ -39,10 +40,9 @@
 //! `par.*` family** they are a pure function of the computation's
 //! inputs — re-running the same campaign yields bit-identical values,
 //! regardless of thread count. The `par.*` metrics intentionally record
-//! scheduling (tasks per worker, chunks claimed) and vary run to run.
-//! Wall-clock quantities appear **only** under JSON keys ending in
-//! `_ns` (and the derived `mean_ns`), so a determinism check can parse
-//! the JSONL sink and ignore exactly the `*_ns` keys.
+//! scheduling (tasks and claims per worker) and vary run to run. No
+//! metric holds a wall-clock value: the metric JSONL sink has no `*_ns`
+//! key, and wall clock appears only in the flight recorder's `t_ns`.
 //!
 //! # Sink selection
 //!
@@ -67,14 +67,10 @@
 //! # Examples
 //!
 //! ```
-//! use rlckit_trace::{counter, histogram, span};
+//! use rlckit_trace::{counter, histogram};
 //!
-//! rlckit_trace::set_enabled(true);
-//! {
-//!     let _guard = span!("example.work");
-//!     counter!("example.calls").incr();
-//!     histogram!("example.iterations").observe(3);
-//! }
+//! counter!("example.calls").incr();
+//! histogram!("example.iterations").observe(3);
 //! let snap = rlckit_trace::snapshot();
 //! assert_eq!(snap.counter("example.calls"), 1);
 //! assert!(snap.histograms["example.iterations"].mean() >= 3.0);
@@ -91,7 +87,6 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
 
 /// Number of exact histogram buckets: values `0..BUCKETS-1` count into
 /// their own bucket, anything `>= BUCKETS-1` lands in the last
@@ -119,7 +114,7 @@ impl Chunk {
     }
 }
 
-/// The three metric kinds and their cell layouts. Every cell combines
+/// The two metric kinds and their cell layouts. Every cell combines
 /// across threads either by sum or by max; a minimum is stored
 /// bit-inverted (`!v`) so it combines by max too, and a zero cell is
 /// the identity of both.
@@ -130,8 +125,6 @@ enum Kind {
     /// `[bucket 0 .. bucket BUCKETS-1, sum, !min, max]`; the count is
     /// the sum of the buckets.
     Histogram,
-    /// `[count, total_ns, !min_ns, max_ns]`.
-    Span,
 }
 
 impl Kind {
@@ -139,7 +132,6 @@ impl Kind {
         match self {
             Self::Counter => 1,
             Self::Histogram => BUCKETS + 3,
-            Self::Span => 4,
         }
     }
 
@@ -149,7 +141,6 @@ impl Kind {
         let first_max = match self {
             Self::Counter => 1,
             Self::Histogram => BUCKETS + 1,
-            Self::Span => 2,
         };
         if offset < first_max {
             a.wrapping_add(b)
@@ -468,72 +459,6 @@ impl Histogram {
     }
 }
 
-/// Aggregated wall-clock timings for one span label: count, total,
-/// min and max, all in nanoseconds.
-pub struct SpanTimer {
-    name: &'static str,
-    slot: Slot,
-}
-
-impl SpanTimer {
-    /// Creates an unregistered span timer (const: usable in `static`s).
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            slot: Slot::new(),
-        }
-    }
-
-    /// Starts a span. When tracing is disabled the returned guard is
-    /// inert — no clock read, no allocation, nothing recorded on drop.
-    #[must_use]
-    pub fn start(&'static self) -> SpanGuard {
-        if enabled() {
-            SpanGuard(Some((self, Instant::now())))
-        } else {
-            SpanGuard(None)
-        }
-    }
-
-    /// Records a completed span of `ns` nanoseconds directly.
-    pub fn record_ns(&'static self, ns: u64) {
-        with_cells(self.slot.base(self.name, Kind::Span), |c| {
-            bump(&c[0], 1);
-            bump(&c[1], ns);
-            raise(&c[2], !ns);
-            raise(&c[3], ns);
-        });
-    }
-
-    /// Metric name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// RAII guard returned by [`SpanTimer::start`]; records the elapsed
-/// time on drop (or nothing, if tracing was disabled at start).
-pub struct SpanGuard(Option<(&'static SpanTimer, Instant)>);
-
-impl SpanGuard {
-    /// True if this guard is actually timing (tracing was enabled).
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some((timer, start)) = self.0.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            timer.record_ns(ns);
-        }
-    }
-}
-
 /// Declares a `static` [`Counter`] at the call site and yields a
 /// `&'static Counter` handle.
 #[macro_export]
@@ -551,17 +476,6 @@ macro_rules! histogram {
     ($name:expr) => {{
         static __RLCKIT_TRACE_HISTOGRAM: $crate::Histogram = $crate::Histogram::new($name);
         &__RLCKIT_TRACE_HISTOGRAM
-    }};
-}
-
-/// Declares a `static` [`SpanTimer`] at the call site and starts a
-/// span, yielding the [`SpanGuard`]. Bind it (`let _guard = span!(…);`)
-/// so it lives to the end of the scope.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {{
-        static __RLCKIT_TRACE_SPAN: $crate::SpanTimer = $crate::SpanTimer::new($name);
-        __RLCKIT_TRACE_SPAN.start()
     }};
 }
 
@@ -614,8 +528,8 @@ static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// True when tracing is on: either [`set_enabled`] forced it, or
 /// `RLCKIT_TRACE` selects a sink. Counters and histograms record
-/// regardless (they are effectively free); this flag gates the span
-/// timers and is what makes the disabled path clock-free.
+/// regardless (they are effectively free); this flag gates the flight
+/// recorder, so the disabled path never reads the clock.
 #[must_use]
 pub fn enabled() -> bool {
     match FORCED.load(Ordering::Relaxed) {
@@ -721,21 +635,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Point-in-time value of one span timer. All fields are wall-clock
-/// derived and therefore non-deterministic; they serialize only under
-/// `*_ns` keys.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SpanSnapshot {
-    /// Number of completed spans.
-    pub count: u64,
-    /// Total nanoseconds across all spans.
-    pub total_ns: u64,
-    /// Shortest span (`u64::MAX` when empty).
-    pub min_ns: u64,
-    /// Longest span.
-    pub max_ns: u64,
-}
-
 /// A consistent-enough copy of every registered metric (cells of
 /// threads still recording are read with relaxed loads, so their
 /// concurrent increments may straddle the walk, which telemetry
@@ -746,8 +645,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Span timer states by name.
-    pub spans: BTreeMap<String, SpanSnapshot>,
 }
 
 impl Snapshot {
@@ -768,10 +665,10 @@ impl Snapshot {
             .sum()
     }
 
-    /// The change since an `earlier` snapshot: counters, histogram
-    /// counts/sums/buckets and span counts/totals subtract
-    /// (saturating); histogram and span min/max keep this snapshot's
-    /// process-lifetime values (see [`HistogramSnapshot::min`]).
+    /// The change since an `earlier` snapshot: counters and histogram
+    /// counts/sums/buckets subtract (saturating); histogram min/max keep
+    /// this snapshot's process-lifetime values (see
+    /// [`HistogramSnapshot::min`]).
     #[must_use]
     pub fn since(&self, earlier: &Self) -> Self {
         let counters = self
@@ -795,23 +692,9 @@ impl Snapshot {
                 (name.clone(), d)
             })
             .collect();
-        let spans = self
-            .spans
-            .iter()
-            .map(|(name, s)| {
-                let old = earlier.spans.get(name);
-                let mut d = s.clone();
-                if let Some(old) = old {
-                    d.count = d.count.saturating_sub(old.count);
-                    d.total_ns = d.total_ns.saturating_sub(old.total_ns);
-                }
-                (name.clone(), d)
-            })
-            .collect();
         Self {
             counters,
             histograms,
-            spans,
         }
     }
 }
@@ -848,17 +731,6 @@ pub fn snapshot() -> Snapshot {
                     *dst += src;
                 }
             }
-            Kind::Span => {
-                let entry = snap.spans.entry(name).or_insert(SpanSnapshot {
-                    min_ns: u64::MAX,
-                    ..SpanSnapshot::default()
-                });
-                entry.count += cells[0];
-                entry.total_ns += cells[1];
-                // An empty span's inverted-min cell is 0, i.e. u64::MAX.
-                entry.min_ns = entry.min_ns.min(!cells[2]);
-                entry.max_ns = entry.max_ns.max(cells[3]);
-            }
         }
     }
     snap
@@ -867,18 +739,6 @@ pub fn snapshot() -> Snapshot {
 // ---------------------------------------------------------------------------
 // Sinks: text summary and JSONL
 // ---------------------------------------------------------------------------
-
-fn format_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.0} ns")
-    } else if ns < 1e6 {
-        format!("{:.2} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
-}
 
 /// Renders the aligned text summary of a snapshot. Zero-valued metrics
 /// are omitted — a grep for a counter name in the summary is therefore
@@ -900,16 +760,6 @@ pub fn summary_of(snap: &Snapshot) -> String {
                 h.mean(),
                 h.min.unwrap_or(0),
                 h.max.unwrap_or(0),
-            ));
-        }
-    }
-    for (name, s) in &snap.spans {
-        if s.count > 0 {
-            out.push_str(&format!(
-                "  span      {name:<48} count {}  total {}  mean {}\n",
-                s.count,
-                format_ns(s.total_ns as f64),
-                format_ns(s.total_ns as f64 / s.count as f64),
             ));
         }
     }
@@ -941,9 +791,8 @@ pub(crate) fn json_escape(s: &str) -> String {
 }
 
 /// Renders a snapshot as JSON lines: one object per metric, sorted by
-/// kind then name. Deterministic fields only, except values under keys
-/// ending in `_ns` (span wall-clock) — the documented escape hatch the
-/// JSONL guard test checks.
+/// kind then name. No field is wall clock, so two renders with nothing
+/// recorded in between are byte-identical.
 #[must_use]
 pub fn jsonl_of(snap: &Snapshot) -> String {
     let mut out = String::new();
@@ -967,17 +816,6 @@ pub fn jsonl_of(snap: &Snapshot) -> String {
             h.min.unwrap_or(0),
             h.max.unwrap_or(0),
             buckets.join(","),
-        ));
-    }
-    for (name, s) in &snap.spans {
-        let min_ns = if s.count == 0 { 0 } else { s.min_ns };
-        out.push_str(&format!(
-            "{{\"type\":\"span\",\"name\":{},\"count\":{},\"total_ns\":{},\
-             \"min_ns\":{min_ns},\"max_ns\":{}}}\n",
-            json_escape(name),
-            s.count,
-            s.total_ns,
-            s.max_ns,
         ));
     }
     out
@@ -1234,31 +1072,6 @@ mod tests {
         assert_eq!(hd.sum, 12);
         assert_eq!(hd.buckets[3], 1);
         assert_eq!(hd.buckets[9], 1);
-    }
-
-    #[test]
-    fn span_guards_record_only_when_enabled() {
-        // One test owns both states: parallel tests must not fight over
-        // the global flag mid-assertion.
-        set_enabled(false);
-        {
-            let guard = span!("test.span_disabled");
-            assert!(!guard.is_active(), "disabled tracing must yield inert guards");
-        }
-        assert_eq!(snapshot().spans.get("test.span_disabled").map_or(0, |s| s.count), 0);
-
-        set_enabled(true);
-        {
-            let guard = span!("test.span_enabled");
-            assert!(guard.is_active());
-            std::hint::black_box(3u64.pow(7));
-        }
-        let snap = snapshot();
-        let s = &snap.spans["test.span_enabled"];
-        assert_eq!(s.count, 1);
-        assert!(s.min_ns <= s.max_ns);
-        assert!(s.total_ns >= s.max_ns);
-        set_enabled(true);
     }
 
     #[test]

@@ -15,6 +15,9 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 # Lints are part of the gate: warnings are build breaks.
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc warnings are build breaks too: a doc link to a deleted or
+# private item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 # Bench bodies must at least execute (smoke mode runs each body once
 # and measures nothing), so the baseline stays regenerable. The pass
 # runs with tracing live so the disabled→enabled flip is exercised in

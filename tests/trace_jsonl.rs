@@ -1,15 +1,15 @@
 //! Guard for the `RLCKIT_TRACE=jsonl` sink format: every line the sink
-//! writes must parse as a standalone JSON object, and the only
-//! non-deterministic values allowed are span wall-clock fields under
-//! the documented `*_ns` keys. Downstream tooling (and the determinism
-//! tests) rely on being able to strip `*_ns` and diff the rest. The
-//! flight-recorder event stream (`rlckit_trace::events::jsonl_of`) is
-//! held to the same contract with `t_ns` as its only wall-clock key.
+//! writes must parse as a standalone JSON object carrying only the
+//! documented deterministic keys — metrics hold no wall clock, so no
+//! key ends in `_ns`. The flight-recorder event stream
+//! (`rlckit_trace::events::jsonl_of`) is where wall clock lives, under
+//! `t_ns` only: downstream tooling (and the serve determinism smoke)
+//! strips `*_ns` and diffs the rest.
 //!
 //! The sink has no serde dependency (hermetic build), so neither does
 //! this guard: it carries a purpose-built minimal JSON reader.
 
-use rlckit_trace::{counter, histogram, span};
+use rlckit_trace::{counter, histogram};
 
 /// Keys whose values are pure functions of the recorded inputs.
 const DETERMINISTIC_KEYS: [&str; 8] = [
@@ -200,11 +200,6 @@ fn parse_line(line: &str) -> Vec<(String, Json)> {
     }
 }
 
-/// Drops every `*_ns` member, leaving the deterministic projection.
-fn strip_ns(members: &[(String, Json)]) -> Vec<&(String, Json)> {
-    members.iter().filter(|(k, _)| !k.ends_with("_ns")).collect()
-}
-
 #[test]
 fn jsonl_sink_is_json_lines_with_only_documented_nondeterminism() {
     // One test owns the whole check: trace metrics are process-global,
@@ -215,47 +210,31 @@ fn jsonl_sink_is_json_lines_with_only_documented_nondeterminism() {
     histogram!("jsonl.guard.iterations").observe(7);
     // A hostile label exercises the string escaper end to end.
     counter!("jsonl.guard.\"quoted\\path\"").incr();
-    rlckit_trace::set_enabled(true);
-    drop(span!("jsonl.guard.span"));
-    rlckit_trace::set_enabled(false);
 
     let first = rlckit_trace::jsonl_string();
     assert!(!first.is_empty(), "recorded metrics must serialize");
 
-    let mut saw_span = false;
     for line in first.lines() {
         let members = parse_line(line);
-
-        // Every key is either deterministic-by-contract or `*_ns`.
-        for (key, value) in &members {
+        for (key, _) in &members {
             assert!(
-                DETERMINISTIC_KEYS.contains(&key.as_str()) || key.ends_with("_ns"),
+                DETERMINISTIC_KEYS.contains(&key.as_str()),
                 "undocumented key {key:?} in {line:?}"
             );
-            if key.ends_with("_ns") {
-                assert!(
-                    matches!(value, Json::Num(_)),
-                    "{key:?} must be numeric in {line:?}"
-                );
-            }
+            assert!(
+                !key.ends_with("_ns"),
+                "wall clock in a metric record: {line:?}"
+            );
         }
-
-        // `*_ns` keys are confined to span records.
         let kind = members
             .iter()
             .find_map(|(k, v)| (k == "type").then_some(v))
             .unwrap_or_else(|| panic!("missing type in {line:?}"));
-        if members.iter().any(|(k, _)| k.ends_with("_ns")) {
-            assert_eq!(kind, &Json::Str("span".into()), "wall-clock outside span");
-            saw_span = true;
-        } else {
-            assert!(
-                matches!(kind, Json::Str(s) if s == "counter" || s == "histogram"),
-                "unknown record type in {line:?}"
-            );
-        }
+        assert!(
+            matches!(kind, Json::Str(s) if s == "counter" || s == "histogram"),
+            "unknown record type in {line:?}"
+        );
     }
-    assert!(saw_span, "the enabled span must have produced a record");
 
     // The escaped label must round-trip through parse exactly.
     assert!(
@@ -267,29 +246,11 @@ fn jsonl_sink_is_json_lines_with_only_documented_nondeterminism() {
         "escaped metric name did not round-trip"
     );
 
-    // Rendering again with only span activity in between must leave the
-    // deterministic projection byte-for-byte stable.
-    rlckit_trace::set_enabled(true);
-    drop(span!("jsonl.guard.span"));
-    rlckit_trace::set_enabled(false);
-    let second = rlckit_trace::jsonl_string();
-    let project = |text: &str| {
-        text.lines()
-            .map(|l| {
-                let members = parse_line(l);
-                format!("{:?}", strip_ns(&members))
-            })
-            .filter(|p| !p.contains("jsonl.guard.span") || p.contains("count"))
-            .collect::<Vec<_>>()
-    };
-    let (a, b) = (project(&first), project(&second));
-    // Counter and histogram records are identical; the span's count
-    // member changed (it ran once more), which is the one allowed
-    // deterministic difference here.
-    let diffs: Vec<_> = a.iter().filter(|l| !b.contains(l)).collect();
-    assert!(
-        diffs.iter().all(|l| l.contains("jsonl.guard.span")),
-        "deterministic records drifted between renders: {diffs:?}"
+    // Nothing recorded in between: the second render is the same bytes.
+    assert_eq!(
+        first,
+        rlckit_trace::jsonl_string(),
+        "metric JSONL drifted between renders"
     );
 }
 
@@ -298,33 +259,14 @@ const EVENT_KEYS: [&str; 6] = ["type", "trace_id", "scope", "kind", "value", "t_
 
 #[test]
 fn event_stream_jsonl_has_only_t_ns_nondeterminism() {
-    // The flight recorder shares the enable gate with spans, and the
-    // sibling test toggles it; retry until a recording lands so the two
-    // tests cannot race each other into a false failure.
-    let mut recorded = Vec::new();
-    let mut dropped = 0;
-    for _ in 0..64 {
-        rlckit_trace::set_enabled(true);
-        rlckit_trace::event!(
-            0x4A47_u64,
-            "jsonl.guard.event",
-            rlckit_trace::events::EventKind::Solve,
-            7
-        );
-        let drained = rlckit_trace::events::collect();
-        dropped += drained.dropped;
-        recorded.extend(drained.events);
-        if recorded
-            .iter()
-            .any(|e| e.trace_id == 0x4A47 && e.scope == "jsonl.guard.event")
-        {
-            break;
-        }
-    }
-    let text = rlckit_trace::events::jsonl_of(&rlckit_trace::events::DrainedEvents {
-        events: recorded,
-        dropped,
-    });
+    rlckit_trace::set_enabled(true);
+    rlckit_trace::event!(
+        0x4A47_u64,
+        "jsonl.guard.event",
+        rlckit_trace::events::EventKind::Solve,
+        7
+    );
+    let text = rlckit_trace::events::jsonl_of(&rlckit_trace::events::collect());
 
     let mut saw_ours = false;
     for line in text.lines() {
