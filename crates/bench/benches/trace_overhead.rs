@@ -9,35 +9,20 @@
 //!   observation (four such cell updates: bucket, sum, min, max); both
 //!   record whether or not tracing is enabled;
 //! * a flight-recorder `event!` with tracing disabled (one relaxed
-//!   load — the tier-1 `trace_overhead` guard pins this budget) and
-//!   enabled (one clock read plus four relaxed ring stores).
+//!   load — `scripts/tier1.sh` measures this rung fresh and holds it
+//!   to 25 ns) and enabled (one clock read plus four relaxed ring
+//!   stores).
 //!
 //! The smoke pass exercises all paths; the measured run writes the
-//! comparison into `results/BENCH_trace_overhead.json`. A real-world
-//! check rides along: the full delay solve is timed with tracing off
-//! and on, and the enabled/disabled ratio is recorded — it should be
-//! indistinguishable from 1 since the solver's counters record either
-//! way and the delay solve emits no events.
+//! comparison into `BENCH_trace_overhead.json` in the results
+//! directory. The cost of tracing on a whole solve is perfbench's
+//! `trace.overhead_ratio`.
 
 use std::hint::black_box;
 
-use rlckit::optimizer::segment_structure;
 use rlckit_bench::timer::Harness;
-use rlckit_tech::TechNode;
-use rlckit_tline::{LineRlc, TwoPole};
 use rlckit_trace::events::EventKind;
 use rlckit_trace::{counter, event, histogram};
-use rlckit_units::{HenriesPerMeter, Meters};
-
-fn two_pole() -> TwoPole {
-    let node = TechNode::nm100();
-    let line = LineRlc::new(
-        node.line().resistance,
-        HenriesPerMeter::from_nano_per_milli(1.0),
-        node.line().capacitance,
-    );
-    segment_structure(&line, &node.driver(), Meters::from_milli(11.1), 528.0).two_pole()
-}
 
 fn bench_primitives(h: &mut Harness) {
     let mut x = 0u64;
@@ -51,7 +36,7 @@ fn bench_primitives(h: &mut Harness) {
     });
 
     // Flight-recorder rungs: disabled is the claim that matters (one
-    // relaxed load — the tier-1 `trace_overhead` guard pins it);
+    // relaxed load — tier1 holds it to 25 ns);
     // enabled is one clock read plus four relaxed stores into the
     // thread's ring.
     rlckit_trace::set_enabled(false);
@@ -71,30 +56,8 @@ fn bench_primitives(h: &mut Harness) {
     rlckit_trace::set_enabled(false);
 }
 
-fn bench_solver_with_tracing_toggled(h: &mut Harness) {
-    let tp = two_pole();
-    rlckit_trace::set_enabled(false);
-    h.bench("delay_solve_trace_off", || {
-        black_box(tp.delay(black_box(0.5)).expect("delay"))
-    });
-    rlckit_trace::set_enabled(true);
-    h.bench("delay_solve_trace_on", || {
-        black_box(tp.delay(black_box(0.5)).expect("delay"))
-    });
-    rlckit_trace::set_enabled(false);
-    // ~1.0x: the solver's counters record in both states and the
-    // delay path emits no events.
-    h.record_speedup(
-        "delay_solve_trace_ratio",
-        "delay_solve_trace_off",
-        "delay_solve_trace_on",
-        &[],
-    );
-}
-
 fn main() {
     let mut h = Harness::from_args("trace_overhead");
     bench_primitives(&mut h);
-    bench_solver_with_tracing_toggled(&mut h);
     h.finish();
 }

@@ -3,8 +3,10 @@
 //! Each measurement runs a warmup, then collects timed samples of a
 //! calibrated iteration batch and reports min / median / p95 / mean
 //! nanoseconds per iteration. Results are printed as aligned text and
-//! written as JSON lines to `results/BENCH_<group>.json` (one object per
-//! benchmark) so future runs can be diffed mechanically.
+//! written as JSON lines to `BENCH_<group>.json` in
+//! [`results_dir`](crate::results_dir) (one object per benchmark), where
+//! a script can read them back. The files are outputs of a run, never
+//! committed baselines.
 //!
 //! Bench targets are `harness = false` binaries:
 //!
@@ -62,33 +64,23 @@ impl BenchOptions {
     }
 }
 
-/// Summary statistics for one benchmark.
-///
-/// For measured benchmarks the four summary fields are nanoseconds per
-/// iteration (`unit == "ns_per_iter"`); for entries derived with
-/// [`Harness::record_speedup`] they are dimensionless baseline/contender
-/// ratios (`unit == "speedup_x"`) and the `_ns` suffix is historical.
+/// Summary statistics for one benchmark, in nanoseconds per iteration.
 #[derive(Debug, Clone)]
-pub struct Stats {
+struct Stats {
     /// Benchmark name (unique within its group).
-    pub name: String,
-    /// Unit of the four summary fields.
-    pub unit: &'static str,
+    name: String,
     /// Fastest sample.
-    pub min_ns: f64,
+    min_ns: f64,
     /// Median sample.
-    pub median_ns: f64,
+    median_ns: f64,
     /// 95th-percentile sample.
-    pub p95_ns: f64,
+    p95_ns: f64,
     /// Mean over all samples.
-    pub mean_ns: f64,
+    mean_ns: f64,
     /// Iterations per timed sample after calibration.
-    pub iters_per_sample: u64,
+    iters_per_sample: u64,
     /// Number of timed samples.
-    pub samples: usize,
-    /// Extra context fields emitted verbatim into the JSON record
-    /// (e.g. `("threads", 4.0)`).
-    pub extra: Vec<(String, f64)>,
+    samples: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,14 +176,12 @@ impl Harness {
 
         let stats = Stats {
             name: name.to_string(),
-            unit: "ns_per_iter",
             min_ns: samples_ns[0],
             median_ns: percentile(&samples_ns, 0.50),
             p95_ns: percentile(&samples_ns, 0.95),
             mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
             iters_per_sample: iters,
             samples: samples_ns.len(),
-            extra: Vec::new(),
         };
         println!(
             "bench {:<44} min {:>10}  median {:>10}  p95 {:>10}",
@@ -199,100 +189,6 @@ impl Harness {
             format_ns(stats.min_ns),
             format_ns(stats.median_ns),
             format_ns(stats.p95_ns),
-        );
-        self.results.push(stats);
-    }
-
-    /// Measures `body` like [`Harness::bench_with`], snapshotting the
-    /// process-wide trace metrics around the whole measurement and
-    /// handing the **delta** to `derive`, whose `(key, value)` pairs
-    /// are appended to the JSON record's extra fields.
-    ///
-    /// The delta covers calibration and warmup runs too, so derive
-    /// ratios *within* the snapshot (e.g. a histogram's
-    /// `mean()` = iterations per solve) rather than dividing by the
-    /// timed iteration count — ratios are insensitive to the extra
-    /// runs. A no-op beyond the plain measurement in smoke mode.
-    pub fn bench_profiled<T>(
-        &mut self,
-        name: &str,
-        opts: &BenchOptions,
-        body: impl FnMut() -> T,
-        derive: impl FnOnce(&rlckit_trace::Snapshot) -> Vec<(String, f64)>,
-    ) {
-        if !self.selected(name) {
-            return;
-        }
-        let before = rlckit_trace::snapshot();
-        self.bench_with(name, opts, body);
-        if self.mode == Mode::Smoke {
-            return;
-        }
-        let delta = rlckit_trace::snapshot().since(&before);
-        let extras = derive(&delta);
-        if let Some(s) = self.results.last_mut() {
-            if s.name == name {
-                s.extra.extend(extras);
-            }
-        }
-    }
-
-    /// Looks up an already-recorded benchmark by exact name.
-    #[must_use]
-    pub fn stats(&self, name: &str) -> Option<&Stats> {
-        self.results.iter().find(|s| s.name == name)
-    }
-
-    /// Appends extra `(key, value)` context fields to an
-    /// already-recorded benchmark's JSON record — for quantities
-    /// computed *from* the measurement after the fact (a replay bench's
-    /// queries-per-second derives from its own median, which no closure
-    /// passed into the measurement can see). A no-op in smoke mode or
-    /// when `name` was filtered out, like the other derived entries.
-    pub fn annotate(&mut self, name: &str, extra: &[(&str, f64)]) {
-        if let Some(s) = self.results.iter_mut().find(|s| s.name == name) {
-            s.extra
-                .extend(extra.iter().map(|&(k, v)| (k.to_string(), v)));
-        }
-    }
-
-    /// Records a derived `baseline / contender` speedup entry computed
-    /// from two previously-measured benchmarks in this group, ratioed
-    /// statistic by statistic (min/min, median/median, …). `extra`
-    /// carries context fields such as the thread count into the JSON
-    /// record. A no-op in smoke mode or when either side was filtered
-    /// out (so bench filters keep working).
-    pub fn record_speedup(
-        &mut self,
-        name: &str,
-        baseline: &str,
-        contender: &str,
-        extra: &[(&str, f64)],
-    ) {
-        if self.mode == Mode::Smoke {
-            return;
-        }
-        let (Some(b), Some(c)) = (self.stats(baseline).cloned(), self.stats(contender).cloned())
-        else {
-            return;
-        };
-        let stats = Stats {
-            name: name.to_string(),
-            unit: "speedup_x",
-            min_ns: b.min_ns / c.min_ns,
-            median_ns: b.median_ns / c.median_ns,
-            p95_ns: b.p95_ns / c.p95_ns,
-            mean_ns: b.mean_ns / c.mean_ns,
-            iters_per_sample: c.iters_per_sample,
-            samples: c.samples,
-            extra: extra.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        };
-        println!(
-            "bench {:<44} min {:>9.3}x  median {:>6.3}x  p95 {:>9.3}x",
-            format!("{}/{}", self.group, stats.name),
-            stats.min_ns,
-            stats.median_ns,
-            stats.p95_ns,
         );
         self.results.push(stats);
     }
@@ -315,17 +211,12 @@ impl Harness {
         }
         let mut out = String::new();
         for s in &self.results {
-            let mut extra = String::new();
-            for (k, v) in &s.extra {
-                extra.push_str(&format!(",{}:{v:.3}", json_string(k)));
-            }
             out.push_str(&format!(
-                "{{\"group\":{},\"name\":{},\"unit\":{},\
+                "{{\"group\":{},\"name\":{},\
                  \"min\":{:.3},\"median\":{:.3},\"p95\":{:.3},\"mean\":{:.3},\
-                 \"samples\":{},\"iters_per_sample\":{}{extra}}}\n",
+                 \"samples\":{},\"iters_per_sample\":{}}}\n",
                 json_string(&self.group),
                 json_string(&s.name),
-                json_string(s.unit),
                 s.min_ns,
                 s.median_ns,
                 s.p95_ns,
@@ -447,58 +338,5 @@ mod tests {
         assert!(s.min_ns > 0.0);
         assert!(s.min_ns <= s.median_ns && s.median_ns <= s.p95_ns);
         assert_eq!(s.samples, 5);
-        assert_eq!(s.unit, "ns_per_iter");
-    }
-
-    fn canned(name: &str, scale: f64) -> Stats {
-        Stats {
-            name: name.into(),
-            unit: "ns_per_iter",
-            min_ns: 100.0 * scale,
-            median_ns: 120.0 * scale,
-            p95_ns: 150.0 * scale,
-            mean_ns: 125.0 * scale,
-            iters_per_sample: 10,
-            samples: 5,
-            extra: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn speedup_ratios_each_statistic_and_keeps_context() {
-        let mut h = Harness {
-            group: "t".into(),
-            mode: Mode::Measure,
-            filters: Vec::new(),
-            results: vec![canned("serial", 4.0), canned("parallel", 1.0)],
-        };
-        h.record_speedup("speedup", "serial", "parallel", &[("threads", 8.0)]);
-        let s = h.stats("speedup").expect("recorded");
-        assert_eq!(s.unit, "speedup_x");
-        assert!((s.min_ns - 4.0).abs() < 1e-12);
-        assert!((s.median_ns - 4.0).abs() < 1e-12);
-        assert!((s.p95_ns - 4.0).abs() < 1e-12);
-        assert_eq!(s.extra, vec![("threads".to_string(), 8.0)]);
-    }
-
-    #[test]
-    fn speedup_is_a_noop_when_a_side_is_missing_or_in_smoke_mode() {
-        let mut h = Harness {
-            group: "t".into(),
-            mode: Mode::Measure,
-            filters: Vec::new(),
-            results: vec![canned("serial", 1.0)],
-        };
-        h.record_speedup("speedup", "serial", "absent", &[]);
-        assert!(h.stats("speedup").is_none());
-
-        let mut smoke = Harness {
-            group: "t".into(),
-            mode: Mode::Smoke,
-            filters: Vec::new(),
-            results: vec![canned("serial", 2.0), canned("parallel", 1.0)],
-        };
-        smoke.record_speedup("speedup", "serial", "parallel", &[]);
-        assert!(smoke.stats("speedup").is_none());
     }
 }

@@ -17,13 +17,19 @@
 //!
 //! Trace metrics are process-global, so the campaign runs exactly once
 //! behind a `OnceLock` and every test asserts on the same snapshot
-//! delta — concurrent test threads cannot pollute each other.
+//! delta — concurrent test threads cannot pollute each other. The
+//! random-configuration pool counts its iterations from
+//! `delay_with_iterations` instead and reads no trace state.
 
 use std::sync::OnceLock;
 
+use rlckit::optimizer::segment_structure;
 use rlckit::sweeps::standard_node_sweep;
+use rlckit_numeric::rng::Rng;
 use rlckit_tech::TechNode;
+use rlckit_tline::LineRlc;
 use rlckit_trace::Snapshot;
+use rlckit_units::{HenriesPerMeter, Meters};
 
 /// Grid density per node: the fig bins sweep 50 points over the paper's
 /// `0 ≤ l < 5 nH/mm` range.
@@ -71,6 +77,40 @@ fn eq3_delay_newton_averages_at_most_four_iterations() {
     // bracketed solver currently peaks at 7 on near-critical points.
     let max = iters.max_bucket().expect("nonempty histogram");
     assert!(max <= 8, "worst delay solve took {max} iterations");
+}
+
+/// The paper's "all cases" wording, off the campaign grid: 256 seeded
+/// random `(l, h, k)` draws on the 100 nm node, `l ∈ [0, 5)` nH/mm,
+/// `h ∈ [3, 30)` mm, `k ∈ [50, 1500)`, each solved once at the 50 %
+/// threshold.
+#[test]
+fn eq3_delay_newton_averages_at_most_four_iterations_on_random_configs() {
+    const DRAWS: usize = 256;
+    rlckit_fault::disarm();
+    let node = TechNode::nm100();
+    let mut rng = Rng::new(0x5eed);
+    let mut total = 0;
+    let mut worst = 0;
+    for _ in 0..DRAWS {
+        let l = rng.uniform(0.0, 5.0);
+        let h_mm = rng.uniform(3.0, 30.0);
+        let k = rng.uniform(50.0, 1500.0);
+        let line = LineRlc::new(
+            node.line().resistance,
+            HenriesPerMeter::from_nano_per_milli(l),
+            node.line().capacitance,
+        );
+        let tp = segment_structure(&line, &node.driver(), Meters::from_milli(h_mm), k).two_pole();
+        let (_, iterations) = tp.delay_with_iterations(0.5).expect("delay");
+        total += iterations;
+        worst = worst.max(iterations);
+    }
+    let mean = total as f64 / DRAWS as f64;
+    assert!(
+        mean <= 4.1,
+        "Eq. 3 Newton claim regressed on random configs: mean {mean:.3} iterations > 4.1"
+    );
+    assert!(worst <= 8, "worst random-config delay solve took {worst} iterations");
 }
 
 #[test]
